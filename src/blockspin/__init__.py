@@ -17,8 +17,7 @@ from .linalg import (FieldVector, Operator, SpaceSpec, adjoint, components,
                      inverse, pairing, rel_opnorm, solve, woodbury_left,
                      woodbury_right)
 from .lattice import (BlockScheme, TorusLattice, TowerLevel,
-                      averaging_operator, build_tower, compose_averaging,
-                      sublattice)
+                      averaging_operator, build_tower, sublattice)
 from .kernels import (KernelSet, RGData, build_kernels, delta_cov, greens,
                       identity_suite, next_scale_delta, qcheck_alt,
                       qcheck_recursion, starred_kernels)

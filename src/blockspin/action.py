@@ -74,7 +74,7 @@ def _matrix_table(rg: RGData, ks: KernelSet) -> dict:
     qcm = q @ qm
     qcms = adjoint(rg.q @ rg.q_minus).entries
     dstar = adjoint(rg.d).entries
-    s_star, scheck_star, delta_star, cov_star = starred_kernels(rg)
+    s_star, scheck_star, delta_star, cov_star = starred_kernels(rg, ks)
     qc = ks.qcheck.entries
     return {
         "qm": qm, "q": q, "qms": qms, "qs": qs, "qcm": qcm, "qcms": qcms,

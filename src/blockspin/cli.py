@@ -6,8 +6,10 @@
     blockspin solve-critical  --config scenario.json --point point.json
     blockspin kernels --config scenario.json [--dump]
 
-Exit codes: 0 all checks pass, 1 at least one check failed, 2 config or
-runtime error.  Point files hold one vector per field, either a plain list
+Exit codes: 0 all checks pass, 1 at least one check failed, 2 config error
+or an error outside the suites.  An exception inside a suite is reported as
+a failed "suite-execution" check whose note names the exception type, so
+verify exits 1.  Point files hold one vector per field, either a plain list
 (real) or {"re": [...], "im": [...]}.
 """
 

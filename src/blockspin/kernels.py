@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BlockspinError, NearSingularError
+from .errors import BlockspinError
 from .linalg import (
     DEFAULT_COND_LIMIT,
     Operator,
@@ -29,6 +29,7 @@ from .linalg import (
     adjoint,
     cond,
     form_asymmetry,
+    gate,
     gated_inverse,
     rel_opnorm,
 )
@@ -83,25 +84,22 @@ def qcheck_alt(data: RGData, cond_limit: float = DEFAULT_COND_LIMIT) -> Operator
     """Same kernel via the inner Schur factor: b (1 - b q (b q*q + fq)^{-1} q*)."""
     qs = adjoint(data.q)
     m = data.b * qs.entries @ data.q.entries + data.fq.entries
-    y = np.linalg.solve(_gate(m, "b q*q + fq", cond_limit), qs.entries)
+    y = np.linalg.solve(gate(m, "b q*q + fq", cond_limit), qs.entries)
     entries = data.b * (np.eye(data.space_plus.dim) - data.b * data.q.entries @ y)
     return Operator(data.space_plus, data.space_plus, entries)
 
 
-def _gate(mat: np.ndarray, assumption: str, cond_limit: float) -> np.ndarray:
-    c = cond(mat)
-    if not np.isfinite(c) or c > cond_limit:
-        raise NearSingularError(assumption, c, cond_limit)
-    return mat
+def greens(data: RGData, cond_limit: float = DEFAULT_COND_LIMIT,
+           qcheck: Operator | None = None) -> tuple[Operator, Operator]:
+    """Background Green's operators (s, scheck) of this scale and the next.
 
-
-def greens(data: RGData, cond_limit: float = DEFAULT_COND_LIMIT) -> tuple[Operator, Operator]:
-    """Background Green's operators (s, scheck) of this scale and the next."""
+    ``qcheck`` does not depend on d; pass it when it is already known.
+    """
     qms = adjoint(data.q_minus)
     s_entries = gated_inverse(
         data.d.entries + qms.entries @ data.fq.entries @ data.q_minus.entries,
         "d + q_minus* fq q_minus", cond_limit)
-    qchk = qcheck_recursion(data, cond_limit)
+    qchk = qcheck_recursion(data, cond_limit) if qcheck is None else qcheck
     qcm = data.q @ data.q_minus
     qcms = adjoint(qcm)
     sc_entries = gated_inverse(
@@ -141,7 +139,7 @@ class KernelSet:
 
 def build_kernels(data: RGData, cond_limit: float = DEFAULT_COND_LIMIT) -> KernelSet:
     qchk = qcheck_recursion(data, cond_limit)
-    s, scheck = greens(data, cond_limit)
+    s, scheck = greens(data, cond_limit, qchk)
     delta, cov = delta_cov(data, s, cond_limit)
     diagnostics = {
         "cond_fq": cond(data.fq),
@@ -167,17 +165,21 @@ def build_kernels(data: RGData, cond_limit: float = DEFAULT_COND_LIMIT) -> Kerne
     return ks
 
 
-def starred_kernels(data: RGData, cond_limit: float = DEFAULT_COND_LIMIT
+def starred_kernels(data: RGData, kernels: KernelSet | None = None,
+                    cond_limit: float = DEFAULT_COND_LIMIT
                     ) -> tuple[Operator, Operator, Operator, Operator]:
     """(s*, scheck*, delta*, cov*): the kernels built from the adjoint of d.
 
     These drive the starred field equations.  For symmetric d they equal
-    the unstarred kernels.
+    the unstarred kernels.  qcheck does not involve d, so the one in
+    ``kernels`` serves both.
     """
+    if kernels is None:
+        kernels = build_kernels(data, cond_limit)
     dstar = adjoint(data.d)
     data_star = RGData(data.space_minus, data.space_mid, data.space_plus,
                        data.q_minus, data.q, data.b, data.fq, dstar)
-    s_star, scheck_star = greens(data_star, cond_limit)
+    s_star, scheck_star = greens(data_star, cond_limit, kernels.qcheck)
     delta_star, cov_star = delta_cov(data_star, s_star, cond_limit)
     return s_star, scheck_star, delta_star, cov_star
 
@@ -241,10 +243,10 @@ def identity_suite(data: RGData, kernels: KernelSet | None = None,
     res["b"] = rel_opnorm(s_from_delta - s, s)
 
     # (c) scheck from s and cov, in both resolvent and additive form
-    m = _gate(fq + b * qs @ q, "fq + b q*q", cond_limit)
+    m = gate(fq + b * qs @ q, "fq + b q*q", cond_limit)
     inner = qms @ fq @ np.linalg.solve(m, fq @ qm)
-    sc_inv = _gate(data.d.entries + qms @ fq @ qm - inner,
-                   "s^{-1} - q_minus* fq (fq + b q*q)^{-1} fq q_minus", cond_limit)
+    sc_inv = gate(data.d.entries + qms @ fq @ qm - inner,
+                  "s^{-1} - q_minus* fq (fq + b q*q)^{-1} fq q_minus", cond_limit)
     c1 = rel_opnorm(np.linalg.solve(sc_inv, np.eye(dm)) - sc, sc)
     sc_add = s + s @ qms @ fq @ cv @ fq @ qm @ s
     c2 = rel_opnorm(sc_add - sc, sc)
@@ -256,7 +258,7 @@ def identity_suite(data: RGData, kernels: KernelSet | None = None,
     res["d"] = rel_opnorm(cov_add - cv, cv)
 
     # (e) leading coefficient of the critical step, unstarred and starred
-    s_star, scheck_star, _, cov_star = starred_kernels(data, cond_limit)
+    s_star, scheck_star, _, cov_star = starred_kernels(data, kernels, cond_limit)
     e_res = []
     for cvx, scx in ((cv, sc), (cov_star.entries, scheck_star.entries)):
         lhs = b * cvx @ qs

@@ -139,11 +139,6 @@ def averaging_operator(lat: TorusLattice, scheme: BlockScheme) -> Operator:
     return Operator(lat.space(), sub.space(), entries)
 
 
-def compose_averaging(q: Operator, q_minus: Operator) -> Operator:
-    """Two averaging steps composed into a single fine-to-coarsest map."""
-    return q @ q_minus
-
-
 @dataclass(frozen=True)
 class TowerLevel:
     lattice: TorusLattice
@@ -166,6 +161,6 @@ def build_tower(lat: TorusLattice, scheme: BlockScheme, steps: int) -> list[Towe
         sublattice(current, scheme, step=k)  # re-check so the error names the step
         q = averaging_operator(current, scheme)
         levels.append(TowerLevel(sublattice(current, scheme), q,
-                                 compose_averaging(q, levels[-1].cumulative)))
+                                 q @ levels[-1].cumulative))
         current = levels[-1].lattice
     return levels

@@ -67,10 +67,6 @@ class FieldVector:
             )
         object.__setattr__(self, "components", c)
 
-    @classmethod
-    def zeros(cls, space: SpaceSpec) -> "FieldVector":
-        return cls(space, np.zeros(space.dim, dtype=complex))
-
     def __add__(self, other: "FieldVector") -> "FieldVector":
         self.space.require_compatible(other.space, "vector sum")
         return FieldVector(self.space, self.components + other.components)
@@ -119,10 +115,6 @@ class Operator:
     def identity(cls, space: SpaceSpec) -> "Operator":
         return cls(space, space, np.eye(space.dim))
 
-    @classmethod
-    def zero(cls, domain: SpaceSpec, codomain: SpaceSpec) -> "Operator":
-        return cls(domain, codomain, np.zeros((codomain.dim, domain.dim)))
-
     def apply(self, v) -> FieldVector:
         if isinstance(v, FieldVector):
             self.domain.require_compatible(v.space, "operator application")
@@ -147,9 +139,6 @@ class Operator:
 
     def __neg__(self) -> "Operator":
         return Operator(self.domain, self.codomain, -self.entries)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.entries, 2))
 
 
 def pairing(u, v) -> complex:
@@ -186,18 +175,21 @@ def cond(a) -> float:
     return float(s[0] / s[-1])
 
 
-def gated_solve(mat: np.ndarray, rhs: np.ndarray, assumption: str = "operator",
-                cond_limit: float = DEFAULT_COND_LIMIT) -> np.ndarray:
-    """np.linalg.solve behind a condition-number gate.
-
-    Raises NearSingularError naming the failed invertibility assumption
-    instead of returning an answer dominated by roundoff.
-    """
-    mat = np.asarray(mat)
+def gate(mat, assumption: str, cond_limit: float = DEFAULT_COND_LIMIT):
+    """The condition-number gate: ``mat`` unchanged if it is invertible
+    well enough to trust, else a NearSingularError naming the failed
+    invertibility assumption."""
     c = cond(mat)
     if not np.isfinite(c) or c > cond_limit:
         raise NearSingularError(assumption, c, cond_limit)
-    return np.linalg.solve(mat, rhs)
+    return mat
+
+
+def gated_solve(mat: np.ndarray, rhs: np.ndarray, assumption: str = "operator",
+                cond_limit: float = DEFAULT_COND_LIMIT) -> np.ndarray:
+    """np.linalg.solve behind the condition-number gate, so a near-singular
+    system raises instead of returning an answer dominated by roundoff."""
+    return np.linalg.solve(gate(np.asarray(mat), assumption, cond_limit), rhs)
 
 
 def gated_inverse(mat: np.ndarray, assumption: str = "operator",
@@ -248,9 +240,7 @@ def woodbury_left(f: Operator, g: Operator, q: Operator, q_star: Operator,
     """
     _check_woodbury_shapes(f, g, q, q_star)
     # gate f itself: the left-hand side of the identity must exist
-    c = cond(f)
-    if not np.isfinite(c) or c > cond_limit:
-        raise NearSingularError("f (outer factor of the inversion identity)", c, cond_limit)
+    gate(f, "f (outer factor of the inversion identity)", cond_limit)
     m = f.entries + q_star.entries @ g.entries @ q.entries
     y = gated_solve(m, q_star.entries, "f + q_star g q (inner Schur factor)", cond_limit)
     w = g.codomain
@@ -261,9 +251,7 @@ def woodbury_right(f: Operator, g: Operator, q: Operator, q_star: Operator,
                    cond_limit: float = DEFAULT_COND_LIMIT) -> Operator:
     """Inverse of (1_W + q f^{-1} q_star g): 1_W - q (f + q_star g q)^{-1} q_star g."""
     _check_woodbury_shapes(f, g, q, q_star)
-    c = cond(f)
-    if not np.isfinite(c) or c > cond_limit:
-        raise NearSingularError("f (outer factor of the inversion identity)", c, cond_limit)
+    gate(f, "f (outer factor of the inversion identity)", cond_limit)
     m = f.entries + q_star.entries @ g.entries @ q.entries
     y = gated_solve(m, q_star.entries @ g.entries, "f + q_star g q (inner Schur factor)",
                     cond_limit)

@@ -60,12 +60,6 @@ class PolynomialP:
         return not self.monomials
 
     @property
-    def min_degree(self) -> int:
-        if not self.monomials:
-            return 0
-        return min(a + b for a, b in self.monomials)
-
-    @property
     def max_degree(self) -> int:
         if not self.monomials:
             return 0

@@ -59,19 +59,6 @@ class FormalSeries:
                         + (self.input_space.dim,) * kstar
                         + (self.input_space.dim,) * k, dtype=complex)
 
-    def truncated(self, max_order: int) -> "FormalSeries":
-        return FormalSeries(self.input_space, self.target_space, max_order,
-                            tp.truncate(self.coeffs, max_order))
-
-    def __sub__(self, other: "FormalSeries") -> "FormalSeries":
-        self.input_space.require_compatible(other.input_space, "series difference")
-        self.target_space.require_compatible(other.target_space, "series difference")
-        out = {k: v.copy() for k, v in sorted(self.coeffs.items())}
-        for k, v in sorted(other.coeffs.items()):
-            tp.add_into(out, k, -v)
-        return FormalSeries(self.input_space, self.target_space,
-                            max(self.max_order, other.max_order), out)
-
 
 @dataclass(frozen=True, eq=False)
 class SeriesPair:

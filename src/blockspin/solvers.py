@@ -18,6 +18,8 @@ degree, which shows up as a 2x2 block solve below.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from . import tensorpoly as tp
@@ -26,6 +28,7 @@ from .errors import ConvergenceError
 from .linalg import (
     DEFAULT_COND_LIMIT,
     FieldVector,
+    SpaceSpec,
     components,
     gated_solve,
     pairing,
@@ -35,6 +38,60 @@ from .series import FormalSeries, SeriesPair, compose_pair, series_difference_no
 
 # ---------------------------------------------------------------------------
 # formal power series solvers
+
+
+@dataclass(frozen=True, eq=False)
+class _GradedSystem:
+    """The field equation lhs X_(*) = drive_(*) + feed_(*) outer_(*)(X_star, X)
+    of a series pair; the drives enter at bidegree (1, 0) starred and (0, 1)
+    unstarred, and the outer maps have no constant term."""
+
+    lhs: np.ndarray
+    drive_star: np.ndarray
+    drive: np.ndarray
+    feed_star: np.ndarray
+    feed: np.ndarray
+    outer_star: dict
+    outer: dict
+    input_space: SpaceSpec
+    target_space: SpaceSpec
+
+
+def _background_system(spec: ActionSpec, g_unstar_map: dict | None = None,
+                       g_star_map: dict | None = None) -> _GradedSystem:
+    """The background equation; the starred member is driven by the
+    unstarred-slot gradient and vice versa.  Custom gradient maps (with
+    linear parts) re-center it around a solved point."""
+    m = spec.mats
+    if g_unstar_map is None:
+        g_unstar_map = spec.p.grad_unstar_coeffs()
+    if g_star_map is None:
+        g_star_map = spec.p.grad_star_coeffs()
+    return _GradedSystem(np.eye(spec.rg.space_minus.dim),
+                         m["s_star"] @ m["qms_fq"], m["s"] @ m["qms_fq"],
+                         -m["s_star"], -m["s"], g_unstar_map, g_star_map,
+                         spec.rg.space_mid, spec.rg.space_minus)
+
+
+def _nextscale_system(spec: ActionSpec) -> _GradedSystem:
+    """The background equation one scale up: s -> scheck, qm* fq -> qcm* qcheck."""
+    m = spec.mats
+    # qcheck is form-symmetric, so the starred drive uses the same matrix
+    return _GradedSystem(np.eye(spec.rg.space_minus.dim),
+                         m["scheck_star"] @ m["qcms"] @ m["qc"],
+                         m["scheck"] @ m["qcms"] @ m["qc"],
+                         -m["scheck_star"], -m["scheck"],
+                         spec.p.grad_unstar_coeffs(), spec.p.grad_star_coeffs(),
+                         spec.rg.space_plus, spec.rg.space_minus)
+
+
+def _critical_system(spec: ActionSpec, background: SeriesPair) -> _GradedSystem:
+    """The critical equation, with the background series as its outer map."""
+    m = spec.mats
+    drive = spec.rg.b * m["qs"]
+    return _GradedSystem(m["crit_lhs"], drive, drive, m["fq_qm"], m["fq_qm"],
+                         background.starred.coeffs, background.unstarred.coeffs,
+                         spec.rg.space_plus, spec.rg.space_mid)
 
 
 def _paired_block_solve(block: np.ndarray, k_star: np.ndarray, k_unstar: np.ndarray,
@@ -51,93 +108,61 @@ def _paired_block_solve(block: np.ndarray, k_star: np.ndarray, k_unstar: np.ndar
     return sol[:dim].reshape((dim,) + rest), sol[dim:].reshape((dim,) + rest)
 
 
-def _linear_blocks(grad_map: dict, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Degree-one part of a gradient coefficient map, as two matrices."""
-    a_star = grad_map.get((1, 0), np.zeros((dim, dim), dtype=complex))
-    a_unstar = grad_map.get((0, 1), np.zeros((dim, dim), dtype=complex))
-    return np.asarray(a_star, dtype=complex), np.asarray(a_unstar, dtype=complex)
+def _graded_solve(eq: _GradedSystem, max_order: int, assumption: str,
+                  cond_limit: float) -> SeriesPair:
+    """Solve a field equation one total degree at a time.
 
-
-def _solve_background_form(spec: ActionSpec, green_star: np.ndarray, green: np.ndarray,
-                           drive_star: np.ndarray, drive: np.ndarray, input_space,
-                           max_order: int, what: str, cond_limit: float,
-                           g_unstar_map: dict | None = None,
-                           g_star_map: dict | None = None) -> SeriesPair:
-    """Shared solver for the background and next-scale fixed-point form.
-
-    The interaction enters through its two gradient coefficient maps; the
-    starred equation is driven by the unstarred-slot gradient and vice
-    versa.  Custom maps (with linear parts) cover the re-centered equation
-    for increments around a solved point.
+    The degree-one parts of the outer maps fold into the 2x2 block; the
+    rest only sees coefficients of lower degree, so each bidegree is one
+    gated block solve.
     """
-    dm = spec.rg.space_minus.dim
-    if g_unstar_map is None:
-        g_unstar_map = spec.p.grad_unstar_coeffs()
-    if g_star_map is None:
-        g_star_map = spec.p.grad_star_coeffs()
-    a11, a12 = _linear_blocks(g_unstar_map, dm)
-    a21, a22 = _linear_blocks(g_star_map, dm)
+    dim = eq.target_space.dim
+    in_dim = eq.input_space.dim
+    zero = np.zeros((eq.feed.shape[1], dim), dtype=complex)
+    a11, a12, a21, a22 = (np.asarray(outer.get(key, zero), dtype=complex)
+                          for outer in (eq.outer_star, eq.outer)
+                          for key in ((1, 0), (0, 1)))
     block = np.block([
-        [np.eye(dm) + green_star @ a11, green_star @ a12],
-        [green @ a21, np.eye(dm) + green @ a22],
+        [eq.lhs - eq.feed_star @ a11, -eq.feed_star @ a12],
+        [-eq.feed @ a21, eq.lhs - eq.feed @ a22],
     ])
-    assumption = f"1 + {what} (degree-two interaction coupling)"
-    high_unstar = {k: v for k, v in sorted(g_unstar_map.items()) if k[0] + k[1] >= 2}
-    high_star = {k: v for k, v in sorted(g_star_map.items()) if k[0] + k[1] >= 2}
+    high_star = {k: v for k, v in sorted(eq.outer_star.items()) if k[0] + k[1] >= 2}
+    high_unstar = {k: v for k, v in sorted(eq.outer.items()) if k[0] + k[1] >= 2}
 
     coeffs_star: dict = {}
     coeffs_unstar: dict = {}
     for n in range(1, max_order + 1):
-        rhs_star: dict = {}
-        rhs_unstar: dict = {}
-        if n == 1:
-            rhs_star[(1, 0)] = drive_star
-            rhs_unstar[(0, 1)] = drive
-        if high_unstar:
-            comp = tp.compose(high_unstar, coeffs_star, coeffs_unstar, n)
+        rhs_star: dict = {(1, 0): eq.drive_star} if n == 1 else {}
+        rhs_unstar: dict = {(0, 1): eq.drive} if n == 1 else {}
+        for rhs, feed, high in ((rhs_star, eq.feed_star, high_star),
+                                (rhs_unstar, eq.feed, high_unstar)):
+            if not high:
+                continue
+            comp = tp.compose(high, coeffs_star, coeffs_unstar, n)
             for key, t in sorted(comp.items()):
                 if key[0] + key[1] == n:
-                    tp.add_into(rhs_star, key,
-                                -np.tensordot(green_star, t, axes=([1], [0])))
-        if high_star:
-            comp = tp.compose(high_star, coeffs_star, coeffs_unstar, n)
-            for key, t in sorted(comp.items()):
-                if key[0] + key[1] == n:
-                    tp.add_into(rhs_unstar, key,
-                                -np.tensordot(green, t, axes=([1], [0])))
-        in_dim = input_space.dim
+                    tp.add_into(rhs, key, np.tensordot(feed, t, axes=([1], [0])))
         for key in sorted(set(rhs_star) | set(rhs_unstar)):
-            shape = (dm,) + (in_dim,) * key[0] + (in_dim,) * key[1]
-            ks = rhs_star.get(key, np.zeros(shape, dtype=complex))
-            ku = rhs_unstar.get(key, np.zeros(shape, dtype=complex))
-            t_star, t_unstar = _paired_block_solve(block, ks, ku, assumption, cond_limit)
-            coeffs_star[key] = t_star
-            coeffs_unstar[key] = t_unstar
-    sm = spec.rg.space_minus
-    return SeriesPair(FormalSeries(input_space, sm, max_order, coeffs_star),
-                      FormalSeries(input_space, sm, max_order, coeffs_unstar))
+            empty = np.zeros((dim,) + (in_dim,) * (key[0] + key[1]), dtype=complex)
+            coeffs_star[key], coeffs_unstar[key] = _paired_block_solve(
+                block, rhs_star.get(key, empty), rhs_unstar.get(key, empty),
+                assumption, cond_limit)
+    return SeriesPair(FormalSeries(eq.input_space, eq.target_space, max_order, coeffs_star),
+                      FormalSeries(eq.input_space, eq.target_space, max_order, coeffs_unstar))
 
 
 def fps_background(spec: ActionSpec, max_order: int = 4,
                    cond_limit: float = DEFAULT_COND_LIMIT) -> SeriesPair:
     """Background pair as a series in the middle sources (psi_star, psi)."""
-    m = spec.mats
-    return _solve_background_form(
-        spec, m["s_star"], m["s"],
-        m["s_star"] @ m["qms_fq"], m["s"] @ m["qms_fq"],
-        spec.rg.space_mid, max_order, "s^(*) P'", cond_limit)
+    return _graded_solve(_background_system(spec), max_order,
+                         "1 + s^(*) P' (degree-two interaction coupling)", cond_limit)
 
 
 def fps_nextscale(spec: ActionSpec, max_order: int = 4,
                   cond_limit: float = DEFAULT_COND_LIMIT) -> SeriesPair:
     """Next-scale background pair as a series in the coarse sources."""
-    m = spec.mats
-    # qcheck is form-symmetric, so the starred drive uses the same matrix
-    drive_star = m["scheck_star"] @ m["qcms"] @ m["qc"]
-    drive = m["scheck"] @ m["qcms"] @ m["qc"]
-    return _solve_background_form(
-        spec, m["scheck_star"], m["scheck"], drive_star, drive,
-        spec.rg.space_plus, max_order, "scheck^(*) P'", cond_limit)
+    return _graded_solve(_nextscale_system(spec), max_order,
+                         "1 + scheck^(*) P' (degree-two interaction coupling)", cond_limit)
 
 
 def fps_critical(spec: ActionSpec, background: SeriesPair | None = None,
@@ -146,55 +171,8 @@ def fps_critical(spec: ActionSpec, background: SeriesPair | None = None,
     """Critical middle pair as a series in the coarse sources (theta_star, theta)."""
     if background is None:
         background = fps_background(spec, max_order, cond_limit)
-    m = spec.mats
-    dim = spec.rg.space_mid.dim
-    dp = spec.rg.space_plus.dim
-    fq_qm = m["fq_qm"]
-    x11 = background.starred.coefficient(1, 0)
-    x12 = background.starred.coefficient(0, 1)
-    x21 = background.unstarred.coefficient(1, 0)
-    x22 = background.unstarred.coefficient(0, 1)
-    lhs = m["crit_lhs"]
-    block = np.block([
-        [lhs - fq_qm @ x11, -fq_qm @ x12],
-        [-fq_qm @ x21, lhs - fq_qm @ x22],
-    ])
-    assumption = "b q*q + fq - fq qm L (linearized critical system)"
-    drive = spec.rg.b * m["qs"]
-
-    bg_high_star = {k: v for k, v in sorted(background.starred.coeffs.items())
-                    if k[0] + k[1] >= 2}
-    bg_high_unstar = {k: v for k, v in sorted(background.unstarred.coeffs.items())
-                      if k[0] + k[1] >= 2}
-    coeffs_star: dict = {}
-    coeffs_unstar: dict = {}
-    for n in range(1, max_order + 1):
-        rhs_star: dict = {}
-        rhs_unstar: dict = {}
-        if n == 1:
-            rhs_star[(1, 0)] = drive.astype(complex)
-            rhs_unstar[(0, 1)] = drive.astype(complex)
-        if bg_high_star:
-            comp = tp.compose(bg_high_star, coeffs_star, coeffs_unstar, n)
-            for key, t in sorted(comp.items()):
-                if key[0] + key[1] == n:
-                    tp.add_into(rhs_star, key, np.tensordot(fq_qm, t, axes=([1], [0])))
-        if bg_high_unstar:
-            comp = tp.compose(bg_high_unstar, coeffs_star, coeffs_unstar, n)
-            for key, t in sorted(comp.items()):
-                if key[0] + key[1] == n:
-                    tp.add_into(rhs_unstar, key, np.tensordot(fq_qm, t, axes=([1], [0])))
-        for key in sorted(set(rhs_star) | set(rhs_unstar)):
-            shape = (dim,) + (dp,) * key[0] + (dp,) * key[1]
-            ks = rhs_star.get(key, np.zeros(shape, dtype=complex))
-            ku = rhs_unstar.get(key, np.zeros(shape, dtype=complex))
-            t_star, t_unstar = _paired_block_solve(block, ks, ku, assumption, cond_limit)
-            coeffs_star[key] = t_star
-            coeffs_unstar[key] = t_unstar
-    smid = spec.rg.space_mid
-    sp = spec.rg.space_plus
-    return SeriesPair(FormalSeries(sp, smid, max_order, coeffs_star),
-                      FormalSeries(sp, smid, max_order, coeffs_unstar))
+    return _graded_solve(_critical_system(spec, background), max_order,
+                         "b q*q + fq - fq qm L (linearized critical system)", cond_limit)
 
 
 def compose_cp(background: SeriesPair, critical: SeriesPair, max_order: int = 4) -> SeriesPair:
@@ -470,25 +448,21 @@ def delta_phi_plus_series(spec: ActionSpec, theta_star, theta, max_degree: int =
     if _base is None:
         _base = _critical_base(spec, theta_star, theta, tol, cond_limit)
     _, _, phi_star_base, phi_base = _base
-    m = spec.mats
     gu = tp.shift_map(spec.p.grad_unstar_coeffs(), phi_star_base, phi_base)
     gs = tp.shift_map(spec.p.grad_star_coeffs(), phi_star_base, phi_base)
     gu.pop((0, 0), None)
     gs.pop((0, 0), None)
-    pair = _solve_background_form(
-        spec, m["s_star"], m["s"], m["s_star"] @ m["qms_fq"], m["s"] @ m["qms_fq"],
-        spec.rg.space_mid, max_degree, "s^(*) (re-centered interaction)",
-        cond_limit, g_unstar_map=gu, g_star_map=gs)
+    eq = _background_system(spec, gu, gs)
+    pair = _graded_solve(
+        eq, max_degree,
+        "1 + s^(*) (re-centered interaction) (degree-two interaction coupling)",
+        cond_limit)
     coeffs_star = dict(pair.starred.coeffs)
     coeffs_unstar = dict(pair.unstarred.coeffs)
-    lin_star = (m["s_star"] @ m["qms_fq"]).astype(complex)
-    lin = (m["s"] @ m["qms_fq"]).astype(complex)
-    tp.add_into(coeffs_star, (1, 0), -lin_star)
-    tp.add_into(coeffs_unstar, (0, 1), -lin)
-    sm = spec.rg.space_minus
-    smid = spec.rg.space_mid
-    return SeriesPair(FormalSeries(smid, sm, max_degree, coeffs_star),
-                      FormalSeries(smid, sm, max_degree, coeffs_unstar))
+    tp.add_into(coeffs_star, (1, 0), -eq.drive_star)
+    tp.add_into(coeffs_unstar, (0, 1), -eq.drive)
+    return SeriesPair(FormalSeries(eq.input_space, eq.target_space, max_degree, coeffs_star),
+                      FormalSeries(eq.input_space, eq.target_space, max_degree, coeffs_unstar))
 
 
 def delta_a_formula(spec: ActionSpec, theta_star, theta, dpsi_star, dpsi,
@@ -545,66 +519,36 @@ def delta_a_formula(spec: ActionSpec, theta_star, theta, dpsi_star, dpsi,
 # series residual checks against the defining equations
 
 
-def _fixed_point_residuals(green_star, green, drive_star, drive,
-                           g_unstar_map, g_star_map, pair: SeriesPair) -> dict:
-    n = pair.starred.max_order
-    res_star = {k: v.copy() for k, v in sorted(pair.starred.coeffs.items())}
-    res_unstar = {k: v.copy() for k, v in sorted(pair.unstarred.coeffs.items())}
-    if g_unstar_map:
-        comp = tp.compose(g_unstar_map, pair.starred.coeffs, pair.unstarred.coeffs, n)
-        for key, t in sorted(comp.items()):
-            tp.add_into(res_star, key, np.tensordot(green_star, t, axes=([1], [0])))
-    if g_star_map:
-        comp = tp.compose(g_star_map, pair.starred.coeffs, pair.unstarred.coeffs, n)
-        for key, t in sorted(comp.items()):
-            tp.add_into(res_unstar, key, np.tensordot(green, t, axes=([1], [0])))
-    tp.add_into(res_star, (1, 0), -drive_star.astype(complex))
-    tp.add_into(res_unstar, (0, 1), -drive.astype(complex))
+def _graded_residuals(eq: _GradedSystem, pair: SeriesPair) -> dict:
+    """Per-bidegree norms of lhs X_(*) - drive_(*) - feed_(*) outer_(*)(X_star, X)."""
     out = {}
-    for label, res in (("starred", res_star), ("unstarred", res_unstar)):
-        for key, t in sorted(res.items()):
-            out[f"{label} ({key[0]},{key[1]})"] = float(np.linalg.norm(t.reshape(-1)))
+    for label, x, feed, outer, key, drive in (
+            ("starred", pair.starred, eq.feed_star, eq.outer_star, (1, 0), eq.drive_star),
+            ("unstarred", pair.unstarred, eq.feed, eq.outer, (0, 1), eq.drive)):
+        res = tp.apply_matrix(eq.lhs, x.coeffs)
+        if outer:
+            comp = tp.compose(outer, pair.starred.coeffs, pair.unstarred.coeffs,
+                              pair.max_order)
+            for k, t in sorted(comp.items()):
+                tp.add_into(res, k, -np.tensordot(feed, t, axes=([1], [0])))
+        tp.add_into(res, key, -drive)
+        for k, t in sorted(res.items()):
+            out[f"{label} ({k[0]},{k[1]})"] = float(np.linalg.norm(t.reshape(-1)))
     return out
 
 
 def background_series_residuals(spec: ActionSpec, pair: SeriesPair) -> dict:
     """Per-bidegree norms of the fine-space fixed-point equation residual."""
-    m = spec.mats
-    return _fixed_point_residuals(
-        m["s_star"], m["s"], m["s_star"] @ m["qms_fq"], m["s"] @ m["qms_fq"],
-        spec.p.grad_unstar_coeffs(), spec.p.grad_star_coeffs(), pair)
+    return _graded_residuals(_background_system(spec), pair)
 
 
 def nextscale_series_residuals(spec: ActionSpec, pair: SeriesPair) -> dict:
     """Per-bidegree norms of the coarse-space fixed-point equation residual."""
-    m = spec.mats
-    drive = m["qcms"] @ m["qc"]
-    return _fixed_point_residuals(
-        m["scheck_star"], m["scheck"], m["scheck_star"] @ drive, m["scheck"] @ drive,
-        spec.p.grad_unstar_coeffs(), spec.p.grad_star_coeffs(), pair)
+    return _graded_residuals(_nextscale_system(spec), pair)
 
 
 def critical_series_residuals(spec: ActionSpec, background: SeriesPair,
                               critical: SeriesPair) -> dict:
     """Per-bidegree norms of the stationarity system for the middle pair,
     with the fine pair substituted."""
-    m = spec.mats
-    n = critical.starred.max_order
-    res_star = tp.apply_matrix(m["crit_lhs"], critical.starred.coeffs)
-    res_unstar = tp.apply_matrix(m["crit_lhs"], critical.unstarred.coeffs)
-    comp_star = tp.compose(background.starred.coeffs,
-                           critical.starred.coeffs, critical.unstarred.coeffs, n)
-    comp_unstar = tp.compose(background.unstarred.coeffs,
-                             critical.starred.coeffs, critical.unstarred.coeffs, n)
-    for key, t in sorted(comp_star.items()):
-        tp.add_into(res_star, key, -np.tensordot(m["fq_qm"], t, axes=([1], [0])))
-    for key, t in sorted(comp_unstar.items()):
-        tp.add_into(res_unstar, key, -np.tensordot(m["fq_qm"], t, axes=([1], [0])))
-    drive = (spec.rg.b * m["qs"]).astype(complex)
-    tp.add_into(res_star, (1, 0), -drive)
-    tp.add_into(res_unstar, (0, 1), -drive)
-    out = {}
-    for label, res in (("starred", res_star), ("unstarred", res_unstar)):
-        for key, t in sorted(res.items()):
-            out[f"{label} ({key[0]},{key[1]})"] = float(np.linalg.norm(t.reshape(-1)))
-    return out
+    return _graded_residuals(_critical_system(spec, background), critical)

@@ -137,17 +137,9 @@ def add_into(target: dict, key, tensor: np.ndarray) -> None:
         target[key] = tensor
 
 
-def scale_map(coeffs: dict, factor: complex) -> dict:
-    return {k: factor * v for k, v in sorted(coeffs.items())}
-
-
 def apply_matrix(mat: np.ndarray, coeffs: dict) -> dict:
     """Post-compose a vector-valued map with a linear operator."""
     return {k: np.tensordot(mat, v, axes=([1], [0])) for k, v in sorted(coeffs.items())}
-
-
-def truncate(coeffs: dict, max_order: int) -> dict:
-    return {k: v for k, v in sorted(coeffs.items()) if k[0] + k[1] <= max_order}
 
 
 def compose(outer: dict, inner_star: dict, inner_unstar: dict, max_order: int) -> dict:
@@ -220,7 +212,3 @@ def _degree_capped_multisets(keys: list, slots: int, max_deg: int) -> list:
             weight //= factorial(mult)
         result.append((combo, deg, weight))
     return result
-
-
-def map_norms(coeffs: dict) -> dict:
-    return {k: float(np.linalg.norm(v.reshape(-1))) for k, v in sorted(coeffs.items())}

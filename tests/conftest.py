@@ -1,17 +1,18 @@
 """Shared generators for randomized fixtures.
 
 Philox streams are keyed per test module and tag so every test draws an
-independent, reproducible sequence regardless of execution order.
+independent, reproducible sequence regardless of execution order.  The
+draw recipes are the package's own (blockspin.ensembles); the ``general_*``
+helpers default to random grams.
 """
 
 import numpy as np
 
-from blockspin import tensorpoly as tp
-from blockspin.action import make_action_spec
-from blockspin.errors import NearSingularError
-from blockspin.kernels import RGData
-from blockspin.linalg import FieldVector, Operator, SpaceSpec
-from blockspin.poly import PolynomialP
+from blockspin import ensembles
+
+random_spd = ensembles.random_spd
+random_poly = ensembles.random_polynomial
+random_field = ensembles.random_field
 
 
 def make_rng(module_key: int, tag: int) -> np.random.Generator:
@@ -19,61 +20,14 @@ def make_rng(module_key: int, tag: int) -> np.random.Generator:
         np.random.Philox(key=np.array([module_key, tag], dtype=np.uint64)))
 
 
-def random_spd(rng, n, spread=0.5):
-    basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    vals = np.exp(rng.uniform(-spread, spread, size=n))
-    m = (basis * vals) @ basis.T
-    return 0.5 * (m + m.T)
-
-
 def general_data(rng, dims, identity_grams=False):
     """RGData draw with positive kernels; grams random SPD unless disabled."""
-    dm, dmid, dp = dims
-    if identity_grams:
-        sm, smid, sp = SpaceSpec(dm), SpaceSpec(dmid), SpaceSpec(dp)
-        fq_entries = random_spd(rng, dmid) + 0.5 * np.eye(dmid)
-        d_entries = random_spd(rng, dm) + 0.5 * np.eye(dm)
-    else:
-        sm = SpaceSpec(dm, random_spd(rng, dm))
-        smid = SpaceSpec(dmid, random_spd(rng, dmid))
-        sp = SpaceSpec(dp, random_spd(rng, dp))
-        # form-symmetric positive kernels: gram^{-1} times symmetric PD
-        fq_entries = np.linalg.solve(smid.gram, random_spd(rng, dmid) + 0.5 * np.eye(dmid))
-        d_entries = np.linalg.solve(sm.gram, random_spd(rng, dm) + 0.5 * np.eye(dm))
-    fq = Operator(smid, smid, fq_entries)
-    d = Operator(sm, sm, d_entries)
-    qm = Operator(sm, smid, rng.standard_normal((dmid, dm)))
-    q = Operator(smid, sp, rng.standard_normal((dp, dmid)))
-    return RGData(space_minus=sm, space_mid=smid, space_plus=sp,
-                  q_minus=qm, q=q, b=float(rng.uniform(0.5, 2.0)), fq=fq, d=d)
-
-
-def random_poly(rng, space, bidegrees, scale=0.3):
-    monomials = {}
-    for (a, b) in bidegrees:
-        shape = (space.dim,) * (a + b)
-        t = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-        monomials[(a, b)] = tp.symmetrize(t, a, b, leading_axes=0)
-    return PolynomialP(space, monomials)
-
-
-def random_field(rng, space, scale=1.0):
-    z = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
-    return FieldVector(space, scale * z)
+    return ensembles.random_rg_data(rng, dims, identity_grams=identity_grams)
 
 
 def general_spec(rng, dims, bidegrees=((1, 2), (0, 3), (2, 2)), scale=0.3,
                  max_cond=None, identity_grams=False):
     """Well-posed random ActionSpec; rejection keeps kernels comfortably
     conditioned when max_cond is given."""
-    while True:
-        try:
-            data = general_data(rng, dims, identity_grams)
-            p = random_poly(rng, data.space_minus, bidegrees, scale)
-            spec = make_action_spec(data, p)
-        except NearSingularError:
-            continue
-        if max_cond is not None:
-            if max(spec.kernels.diagnostics.values()) > max_cond:
-                continue
-        return spec
+    return ensembles.random_spec(rng, dims, bidegrees, scale, max_cond,
+                                 identity_grams=identity_grams)

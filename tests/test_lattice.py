@@ -6,7 +6,6 @@ from blockspin.lattice import (
     TorusLattice,
     averaging_operator,
     build_tower,
-    compose_averaging,
     sublattice,
 )
 
@@ -95,7 +94,7 @@ def test_compose_averaging_uniform_quarter():
     scheme = BlockScheme((2,))
     q1 = averaging_operator(lat, scheme)
     q2 = averaging_operator(sublattice(lat, scheme), scheme)
-    composed = compose_averaging(q2, q1)
+    composed = q2 @ q1
     assert np.allclose(composed.entries, 0.25)
     assert composed.entries.shape == (1, 4)
 

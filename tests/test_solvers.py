@@ -113,10 +113,13 @@ def test_background_degree_two_coupling():
 
 
 def test_background_degree_two_singular_gate():
-    # c = -2 zeroes out 1 + c s exactly
-    spec = degree2_scalar_spec(-2.0)
-    with pytest.raises(NearSingularError, match="degree-two interaction coupling"):
-        solvers.fps_background(spec, max_order=2)
+    # c = -2 zeroes out 1 + c s exactly; one scale up, c = -1.5 zeroes
+    # 1 + c scheck (scheck = 2/3) in the next-scale background equation
+    for c, solve, green in ((-2.0, solvers.fps_background, "s"),
+                            (-1.5, solvers.fps_nextscale, "scheck")):
+        with pytest.raises(NearSingularError,
+                           match=rf"1 \+ {green}\^\(\*\) P' \(degree-two interaction coupling\)"):
+            solve(degree2_scalar_spec(c), max_order=2)
 
 
 # ---------------------------------------------------------------------------

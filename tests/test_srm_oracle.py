@@ -71,11 +71,14 @@ def background():
 @pytest.fixture(scope="module")
 def critical(background):
     bg_star, bg_unstar = background
+    sources = (THETA_STAR, THETA)
 
     def equations(psi_star, psi):
         sub = {PSI_STAR: psi_star, PSI: psi}
-        return (2 * psi_star - THETA_STAR - bg_star.subs(sub),
-                2 * psi - THETA - bg_unstar.subs(sub))
+        return (2 * psi_star - THETA_STAR
+                - substitute_truncated(bg_star, sub, sources, ORDER),
+                2 * psi - THETA
+                - substitute_truncated(bg_unstar, sub, sources, ORDER))
 
     return undetermined_pair(equations, (THETA_STAR, THETA), ORDER)
 
@@ -96,6 +99,32 @@ def truncate(expr, sources, order):
     for (a, b), coeff in poly.terms():
         if a + b <= order:
             out += coeff * sources[0] ** a * sources[1] ** b
+    return sp.expand(out)
+
+
+def substitute_truncated(expr, sub, sources, order):
+    """truncate(expr.subs(sub), sources, order), truncating after every
+    product so that no power beyond ``order`` is ever expanded.
+
+    The substituted series have no negative powers of ``sources``, so the
+    terms kept at each step are exactly those of the full expansion.
+    """
+    olds = list(sub)
+    powers = {}
+
+    def power(i, k):
+        if k == 0:
+            return sp.Integer(1)
+        if (i, k) not in powers:
+            powers[(i, k)] = truncate(power(i, k - 1) * sub[olds[i]], sources, order)
+        return powers[(i, k)]
+
+    out = sp.Integer(0)
+    for exps, coeff in sp.Poly(expr, *olds).terms():
+        term = coeff
+        for i, k in enumerate(exps):
+            term = truncate(term * power(i, k), sources, order)
+        out += term
     return sp.expand(out)
 
 
