@@ -7,9 +7,11 @@
     blockspin kernels --config scenario.json [--dump]
 
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 config error
-or an error outside the suites.  An exception inside a suite is reported as
-a failed "suite-execution" check whose note names the exception type, so
-verify exits 1.  Point files hold one vector per field, either a plain list
+or an error outside the suites.  Config errors, which name their field,
+include malformed point files, non-finite numbers (json NaN, Infinity),
+unknown keys in nested objects and a bad lattice profile.  An exception
+inside a suite is reported as a failed "suite-execution" check whose note
+names the exception type, so verify exits 1.  Point files hold one vector per field, either a plain list
 (real) or {"re": [...], "im": [...]}.
 """
 
@@ -23,41 +25,32 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BlockspinError, ConfigError
-from .harness import ScenarioConfig, emit_report, run_scenario, scenario_spec
+from .harness import (ScenarioConfig, _fmt, _list_of, _need, _read_json, _real,
+                      emit_report, run_scenario, scenario_spec)
 from .linalg import FieldVector
 from .solvers import (background_residual, critical_residual,
                       newton_background, newton_critical)
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
 def _parse_field(raw, space, name: str) -> FieldVector:
     if isinstance(raw, dict):
-        re = raw.get("re")
-        im = raw.get("im", [0.0] * space.dim)
-        if not isinstance(re, list) or not isinstance(im, list):
-            raise ConfigError(f"point field '{name}': need lists under 're' and 'im'")
-        vals = np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float)
-    elif isinstance(raw, list):
-        vals = np.asarray(raw, dtype=float).astype(complex)
+        parts = (raw.get("re"), raw.get("im", [0.0] * space.dim))
+        _need(set(raw) <= {"re", "im"} and all(isinstance(p, list) for p in parts),
+              name, "need lists under 're' and 'im'", "point")
     else:
-        raise ConfigError(f"point field '{name}': need a list or an object "
-                          "with 're' and 'im'")
-    if vals.shape != (space.dim,):
-        raise ConfigError(f"point field '{name}': need {space.dim} entries, "
-                          f"got {vals.shape}")
-    return FieldVector(space, vals)
+        _need(isinstance(raw, list), name,
+              "need a list or an object with 're' and 'im'", "point")
+        parts = (raw,)
+    for part in parts:
+        _need(_list_of(part, _real), name, "need finite real numbers", "point")
+        _need(len(part) == space.dim, name,
+              f"need {space.dim} entries, got {(len(part),)}", "point")
+    re, *im = (np.asarray(part, dtype=float) for part in parts)
+    return FieldVector(space, re + 1j * im[0] if im else re.astype(complex))
 
 
 def _load_point(path: str, space, names: tuple[str, str]) -> tuple[FieldVector, FieldVector]:
-    try:
-        raw = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read point file '{path}': {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"point file '{path}' is not valid json: {exc}") from exc
+    raw = _read_json(path, "point file ")
     if not isinstance(raw, dict):
         raise ConfigError(f"point file '{path}': need a json object")
     for key in raw:
@@ -67,21 +60,21 @@ def _load_point(path: str, space, names: tuple[str, str]) -> tuple[FieldVector, 
     for key in names:
         if key not in raw:
             raise ConfigError(f"point file '{path}': missing field '{key}'")
-    return (_parse_field(raw[names[0]], space, names[0]),
-            _parse_field(raw[names[1]], space, names[1]))
+    return tuple(_parse_field(raw[name], space, name) for name in names)
 
 
-def _vector_out(v: FieldVector) -> dict:
-    return {"re": [float(x) for x in v.components.real],
-            "im": [float(x) for x in v.components.imag]}
+def _complex_out(a: np.ndarray) -> dict:
+    return {"re": a.real.tolist(), "im": a.imag.tolist()}
 
 
-def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+def _emit(payload: dict | bytes, out: str | None) -> None:
+    """Write a report, or a dict as stable-key-ordered json, to ``out`` or stdout."""
+    if isinstance(payload, dict):
+        payload = (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
     if out:
-        Path(out).write_bytes(text.encode())
+        Path(out).write_bytes(payload)
     else:
-        sys.stdout.write(text)
+        sys.stdout.buffer.write(payload)
 
 
 def _cmd_verify(args) -> int:
@@ -89,41 +82,29 @@ def _cmd_verify(args) -> int:
     if args.suite:
         cfg = cfg.with_suites(args.suite)
     report = run_scenario(cfg, timings=args.timings)
-    blob = emit_report(report, args.format)
-    if args.out:
-        Path(args.out).write_bytes(blob)
-    else:
-        sys.stdout.buffer.write(blob)
+    _emit(emit_report(report, args.format), args.out)
     return 0 if report.passed else 1
 
 
-def _cmd_solve_background(args) -> int:
+# command -> source space, point fields, solution fields, solver, residual
+_SOLVES = {
+    "solve-background": ("space_mid", ("psi_star", "psi"), ("phi_star", "phi"),
+                         newton_background, background_residual),
+    "solve-critical": ("space_plus", ("theta_star", "theta"), ("psi_star", "psi"),
+                       newton_critical, critical_residual),
+}
+
+
+def _cmd_solve(args) -> int:
+    space, point_names, out_names, solve, residual = _SOLVES[args.command]
     spec = scenario_spec(ScenarioConfig.from_file(args.config))
-    ps, pu = _load_point(args.point, spec.rg.space_mid, ("psi_star", "psi"))
-    phi_star, phi = newton_background(spec, ps, pu)
-    r_star, r_unstar = background_residual(spec, phi_star, phi, ps, pu)
-    worst = max(float(np.abs(r_star.components).max()),
-                float(np.abs(r_unstar.components).max()))
-    _emit({"phi_star": _vector_out(phi_star), "phi": _vector_out(phi),
-           "residual": _fmt(worst)}, args.out)
+    source = _load_point(args.point, getattr(spec.rg, space), point_names)
+    solution = solve(spec, *source)
+    worst = max(float(np.abs(r.components).max())
+                for r in residual(spec, *solution, *source))
+    _emit(dict(zip(out_names, (_complex_out(v.components) for v in solution)),
+               residual=_fmt(worst)), args.out)
     return 0
-
-
-def _cmd_solve_critical(args) -> int:
-    spec = scenario_spec(ScenarioConfig.from_file(args.config))
-    ts, tu = _load_point(args.point, spec.rg.space_plus, ("theta_star", "theta"))
-    psi_star, psi = newton_critical(spec, ts, tu)
-    r_star, r_unstar = critical_residual(spec, psi_star, psi, ts, tu)
-    worst = max(float(np.abs(r_star.components).max()),
-                float(np.abs(r_unstar.components).max()))
-    _emit({"psi_star": _vector_out(psi_star), "psi": _vector_out(psi),
-           "residual": _fmt(worst)}, args.out)
-    return 0
-
-
-def _matrix_out(op) -> dict:
-    return {"re": [[float(x) for x in row] for row in op.entries.real],
-            "im": [[float(x) for x in row] for row in op.entries.imag]}
 
 
 def _cmd_kernels(args) -> int:
@@ -132,7 +113,7 @@ def _cmd_kernels(args) -> int:
     payload = {"diagnostics": {k: _fmt(v) for k, v in sorted(ks.diagnostics.items())}}
     if args.dump:
         for name in ("qcheck", "s", "scheck", "delta", "cov"):
-            payload[name] = _matrix_out(getattr(ks, name))
+            payload[name] = _complex_out(getattr(ks, name).entries)
     _emit(payload, args.out)
     return 0
 
@@ -153,19 +134,13 @@ def _build_parser() -> argparse.ArgumentParser:
                         "report reproducibility)")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("solve-background",
-                       help="solve the background equations at one point")
-    p.add_argument("--config", required=True)
-    p.add_argument("--point", required=True)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_solve_background)
-
-    p = sub.add_parser("solve-critical",
-                       help="solve the critical equations at one point")
-    p.add_argument("--config", required=True)
-    p.add_argument("--point", required=True)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_solve_critical)
+    for name in _SOLVES:
+        p = sub.add_parser(name, help=f"solve the {name.removeprefix('solve-')} "
+                                      "equations at one point")
+        p.add_argument("--config", required=True)
+        p.add_argument("--point", required=True)
+        p.add_argument("--out", default=None)
+        p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("kernels", help="derived kernels of the scenario step")
     p.add_argument("--config", required=True)
@@ -181,9 +156,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except BlockspinError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -17,8 +17,10 @@ are excluded unless explicitly requested.
 from __future__ import annotations
 
 import json
+import math
+import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +75,80 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+# ---------------------------------------------------------------------------
+# input checks shared by scenario configs and point files
+
+def _real(x) -> bool:
+    """A finite json number: not a bool, NaN, Infinity or an int past float range."""
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and abs(x) <= sys.float_info.max)
+
+
+def _int_in(x, lo: int, hi: float = math.inf) -> bool:
+    return isinstance(x, int) and _real(x) and lo <= x <= hi
+
+
+def _positive(x) -> bool:
+    return _real(x) and x > 0
+
+
+def _list_of(x, ok, n: int | None = None) -> bool:
+    """A list (of n items, if given) whose items all satisfy ``ok``."""
+    return isinstance(x, list) and (n is None or len(x) == n) and all(map(ok, x))
+
+
+def _need(ok, field: str, what: str, kind: str = "config") -> None:
+    if not ok:
+        raise ConfigError(f"{kind} field '{field}': {what}")
+
+
+_POSITIVE = (_positive, "need a positive number")
+_EXTENT = (lambda x: bool(x) and _list_of(x, lambda v: _int_in(v, 1)), "need positive integers")
+
+# nested config objects: the predicate and the message of each entry
+_ENTRIES = {
+    "lattice": {"extents": _EXTENT, "block": _EXTENT,
+                "profile": (lambda x: _list_of(x, _real),
+                            "need a list of finite real numbers")},
+    "interaction": {
+        "bidegrees": (lambda x: _list_of(x, lambda p: _list_of(p, lambda v: _int_in(v, 0), 2)),
+                      "need pairs of nonnegative integers"),
+        "scale": _POSITIVE},
+    "tolerances": dict.fromkeys(TOLERANCES, _POSITIVE),
+    "quadrature": {"nodes_per_axis": (lambda x: _int_in(x, 4), "need an integer >= 4"),
+                   "theta_cutoff_sigmas": _POSITIVE},
+}
+
+
+def _check_object(obj, field: str, listed: bool = False) -> None:
+    """Known keys only, each entry by its row of ``_ENTRIES``."""
+    entries = _ENTRIES[field]
+    _need(isinstance(obj, dict), field, "need an object")
+    hint = f" (known: {', '.join(sorted(entries))})" if listed else ""
+    for k, v in obj.items():
+        _need(k in entries, field, f"unknown entry '{k}'{hint}")
+        ok, what = entries[k]
+        _need(ok(v), f"{field}.{k}", what)
+
+
+def _read_json(path, what: str, prefix: str = ""):
+    """Parse a json file; ``prefix`` and ``what`` name it in the error."""
+    try:
+        return json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ConfigError(f"{prefix}cannot read {what}'{path}': {exc}") from exc
+    except ValueError as exc:  # bad json, or bytes that are not utf-8
+        raise ConfigError(f"{prefix}{what}'{path}' is not valid json: {exc}") from exc
+
+
+def _check_suites(names, where: str = "") -> tuple[str, ...]:
+    for s in names:
+        if s not in SUITE_NAMES:
+            raise ConfigError(f"{where}unknown suite '{s}' "
+                              f"(known: {', '.join(SUITE_NAMES)})")
+    return tuple(names)
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     seed: int
@@ -94,127 +170,74 @@ class ScenarioConfig:
     def from_dict(cls, raw: dict, base_dir: str | Path = ".") -> "ScenarioConfig":
         if not isinstance(raw, dict):
             raise ConfigError("config must be a json object")
-        known = {"seed", "suites", "dims", "lattice", "grams", "b", "operators",
-                 "polynomial", "interaction", "max_order", "tolerances",
-                 "radii", "quadrature"}
+        known = {f.name for f in fields(cls)} - {"base_dir"}
         for key in raw:
             if key not in known:
                 raise ConfigError(f"unknown config field '{key}'")
 
         seed = raw.get("seed")
-        if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2 ** 64:
-            raise ConfigError("config field 'seed': need an integer in [0, 2^64)")
+        _need(_int_in(seed, 0, 2 ** 64 - 1), "seed", "need an integer in [0, 2^64)")
 
         suites = raw.get("suites", list(SUITE_NAMES))
-        if not isinstance(suites, list) or not all(isinstance(s, str) for s in suites):
-            raise ConfigError("config field 'suites': need a list of suite names")
-        for s in suites:
-            if s not in SUITE_NAMES:
-                raise ConfigError(
-                    f"config field 'suites': unknown suite '{s}' "
-                    f"(known: {', '.join(SUITE_NAMES)})")
+        _need(_list_of(suites, lambda s: isinstance(s, str)), "suites",
+              "need a list of suite names")
+        _check_suites(suites, "config field 'suites': ")
 
         dims = raw.get("dims")
         if dims is not None:
-            if (not isinstance(dims, list) or len(dims) != 3
-                    or not all(isinstance(d, int) and d > 0 for d in dims)):
-                raise ConfigError("config field 'dims': need three positive integers")
+            _need(_list_of(dims, lambda d: _int_in(d, 1), 3), "dims",
+                  "need three positive integers")
             dims = tuple(dims)
 
         lattice = raw.get("lattice")
         if lattice is not None:
-            if dims is not None:
-                raise ConfigError("config field 'lattice': give dims or lattice, not both")
-            if not isinstance(lattice, dict) or "extents" not in lattice or "block" not in lattice:
-                raise ConfigError("config field 'lattice': need an object with "
-                                  "'extents' and 'block' (optional 'profile')")
-            for part in ("extents", "block"):
-                v = lattice[part]
-                if (not isinstance(v, list) or not v
-                        or not all(isinstance(x, int) and x > 0 for x in v)):
-                    raise ConfigError(f"config field 'lattice.{part}': need positive integers")
+            _need(dims is None, "lattice", "give dims or lattice, not both")
+            _need(isinstance(lattice, dict) and "extents" in lattice and "block" in lattice,
+                  "lattice", "need an object with 'extents' and 'block' (optional 'profile')")
+            _check_object(lattice, "lattice")
+            _block_scheme(lattice)
 
         grams = raw.get("grams", "identity")
-        if grams not in ("identity", "random"):
-            raise ConfigError("config field 'grams': need 'identity' or 'random'")
+        _need(grams in ("identity", "random"), "grams", "need 'identity' or 'random'")
 
         b = raw.get("b", 1.0)
-        if isinstance(b, bool) or not isinstance(b, (int, float)) or not b > 0:
-            raise ConfigError("config field 'b': need a positive number")
+        _need(_positive(b), "b", "need a positive number")
 
         operators = raw.get("operators")
         if operators is not None:
-            if lattice is not None:
-                raise ConfigError("config field 'operators': not allowed with a lattice scenario")
-            need = {"q_minus", "q", "fq", "d"}
-            if not isinstance(operators, dict) or set(operators) != need:
-                raise ConfigError("config field 'operators': need exactly the "
-                                  "matrices q_minus, q, fq, d")
-            if grams != "identity":
-                raise ConfigError("config field 'grams': explicit operators "
-                                  "require identity forms")
+            _need(lattice is None, "operators", "not allowed with a lattice scenario")
+            _need(isinstance(operators, dict) and set(operators) == {"q_minus", "q", "fq", "d"},
+                  "operators", "need exactly the matrices q_minus, q, fq, d")
+            _need(grams == "identity", "grams", "explicit operators require identity forms")
+            for name, entries in operators.items():
+                _entries(entries, name)
 
         polynomial = raw.get("polynomial")
-        if polynomial is not None and not isinstance(polynomial, str):
-            raise ConfigError("config field 'polynomial': need a file path string")
+        _need(polynomial is None or isinstance(polynomial, str), "polynomial",
+              "need a file path string")
         interaction = raw.get("interaction")
         if interaction is not None:
-            if polynomial is not None:
-                raise ConfigError("config field 'interaction': give a polynomial "
-                                  "file or an interaction ensemble, not both")
-            if (not isinstance(interaction, dict)
-                    or not isinstance(interaction.get("bidegrees"), list)):
-                raise ConfigError("config field 'interaction': need an object "
-                                  "with 'bidegrees' (and optional 'scale')")
-            for pair in interaction["bidegrees"]:
-                if (not isinstance(pair, list) or len(pair) != 2
-                        or not all(isinstance(x, int) and x >= 0 for x in pair)):
-                    raise ConfigError("config field 'interaction.bidegrees': "
-                                      "need pairs of nonnegative integers")
-            scale = interaction.get("scale", 0.3)
-            if isinstance(scale, bool) or not isinstance(scale, (int, float)) or scale <= 0:
-                raise ConfigError("config field 'interaction.scale': need a positive number")
+            _need(polynomial is None, "interaction",
+                  "give a polynomial file or an interaction ensemble, not both")
+            _need(isinstance(interaction, dict)
+                  and isinstance(interaction.get("bidegrees"), list), "interaction",
+                  "need an object with 'bidegrees' (and optional 'scale')")
+            _check_object(interaction, "interaction")
         if polynomial is not None:
             resolved = Path(base_dir) / polynomial
-            if not resolved.is_file():
-                raise ConfigError(
-                    f"config field 'polynomial': file '{resolved}' does not exist")
+            _need(resolved.is_file(), "polynomial", f"file '{resolved}' does not exist")
 
         max_order = raw.get("max_order", 4)
-        if isinstance(max_order, bool) or not isinstance(max_order, int) \
-                or not 1 <= max_order <= 8:
-            raise ConfigError("config field 'max_order': need an integer in [1, 8]")
+        _need(_int_in(max_order, 1, 8), "max_order", "need an integer in [1, 8]")
 
         tolerances = raw.get("tolerances", {})
-        if not isinstance(tolerances, dict):
-            raise ConfigError("config field 'tolerances': need an object")
-        for k, v in tolerances.items():
-            if k not in TOLERANCES:
-                raise ConfigError(f"config field 'tolerances': unknown entry '{k}' "
-                                  f"(known: {', '.join(sorted(TOLERANCES))})")
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or v <= 0:
-                raise ConfigError(f"config field 'tolerances.{k}': need a positive number")
+        _check_object(tolerances, "tolerances", listed=True)
 
         radii = raw.get("radii", [1.0, 1.0])
-        if (not isinstance(radii, list) or len(radii) != 2
-                or not all(isinstance(r, (int, float)) and not isinstance(r, bool)
-                           and r > 0 for r in radii)):
-            raise ConfigError("config field 'radii': need two positive numbers")
+        _need(_list_of(radii, _positive, 2), "radii", "need two positive numbers")
 
         quadrature = raw.get("quadrature", {})
-        if not isinstance(quadrature, dict):
-            raise ConfigError("config field 'quadrature': need an object")
-        for k in quadrature:
-            if k not in ("nodes_per_axis", "theta_cutoff_sigmas"):
-                raise ConfigError(f"config field 'quadrature': unknown entry '{k}'")
-        nodes = quadrature.get("nodes_per_axis", 64)
-        if isinstance(nodes, bool) or not isinstance(nodes, int) or nodes < 4:
-            raise ConfigError("config field 'quadrature.nodes_per_axis': "
-                              "need an integer >= 4")
-        sigmas = quadrature.get("theta_cutoff_sigmas", 6.0)
-        if isinstance(sigmas, bool) or not isinstance(sigmas, (int, float)) or sigmas <= 0:
-            raise ConfigError("config field 'quadrature.theta_cutoff_sigmas': "
-                              "need a positive number")
+        _check_object(quadrature, "quadrature")
 
         return cls(seed=seed, suites=tuple(suites), dims=dims, lattice=lattice,
                    grams=grams, b=float(b), operators=operators,
@@ -225,28 +248,10 @@ class ScenarioConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ScenarioConfig":
-        path = Path(path)
-        try:
-            text = path.read_text()
-        except OSError as exc:
-            raise ConfigError(f"cannot read config '{path}': {exc}") from exc
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config '{path}' is not valid json: {exc}") from exc
-        return cls.from_dict(raw, base_dir=path.parent)
+        return cls.from_dict(_read_json(path, "config "), base_dir=Path(path).parent)
 
     def with_suites(self, names) -> "ScenarioConfig":
-        for s in names:
-            if s not in SUITE_NAMES:
-                raise ConfigError(f"unknown suite '{s}' "
-                                  f"(known: {', '.join(SUITE_NAMES)})")
-        return ScenarioConfig(seed=self.seed, suites=tuple(names), dims=self.dims,
-                              lattice=self.lattice, grams=self.grams, b=self.b,
-                              operators=self.operators, polynomial=self.polynomial,
-                              interaction=self.interaction, max_order=self.max_order,
-                              tolerances=self.tolerances, radii=self.radii,
-                              quadrature=self.quadrature, base_dir=self.base_dir)
+        return replace(self, suites=_check_suites(names))
 
     def tolerance(self, key: str) -> float:
         return float(self.tolerances.get(key, TOLERANCES[key]))
@@ -257,14 +262,9 @@ class ScenarioConfig:
                "radii": list(self.radii)}
         if self.dims is not None:
             out["dims"] = list(self.dims)
-        if self.lattice is not None:
-            out["lattice"] = self.lattice
-        if self.operators is not None:
-            out["operators"] = self.operators
-        if self.polynomial is not None:
-            out["polynomial"] = self.polynomial
-        if self.interaction is not None:
-            out["interaction"] = self.interaction
+        for key in ("lattice", "operators", "polynomial", "interaction"):
+            if getattr(self, key) is not None:
+                out[key] = getattr(self, key)
         if self.tolerances:
             out["tolerances"] = {k: _fmt(v) for k, v in sorted(self.tolerances.items())}
         if self.quadrature:
@@ -277,23 +277,29 @@ class ScenarioConfig:
 # quadrature suite; the other suites draw their own pinned ensembles)
 
 def _entries(raw, name: str) -> np.ndarray:
+    field = f"operators.{name}"
+    _need(_list_of(raw, lambda row: isinstance(row, list)) and raw, field,
+          "need a 2-d matrix")
+    _need(all(_list_of(row, _real, len(raw[0])) for row in raw), field,
+          "not a real matrix")
+    return np.array(raw, dtype=float)
+
+
+def _block_scheme(lattice: dict) -> BlockScheme:
+    """The scenario's block scheme; BlockScheme's own rules check the profile."""
+    profile = lattice.get("profile")
     try:
-        m = np.array(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config field 'operators.{name}': not a real matrix: {exc}")
-    if m.ndim != 2:
-        raise ConfigError(f"config field 'operators.{name}': need a 2-d matrix")
-    return m
+        return BlockScheme(tuple(lattice["block"]),
+                           None if profile is None else np.asarray(profile, dtype=float))
+    except ValueError as exc:
+        raise ConfigError(f"config field 'lattice.profile': {exc}") from exc
 
 
 def scenario_data(cfg: ScenarioConfig) -> RGData:
     if cfg.lattice is not None:
         lat = TorusLattice(tuple(cfg.lattice["extents"]))
-        profile = cfg.lattice.get("profile")
-        scheme = BlockScheme(tuple(cfg.lattice["block"]),
-                             None if profile is None else np.asarray(profile, dtype=float))
         try:
-            tower = build_tower(lat, scheme, 2)
+            tower = build_tower(lat, _block_scheme(cfg.lattice), 2)
         except ValueError as exc:
             raise ConfigError(f"config field 'lattice': {exc}") from exc
         sm = tower[0].lattice.space()
@@ -306,10 +312,7 @@ def scenario_data(cfg: ScenarioConfig) -> RGData:
                       q_minus=tower[1].step, q=tower[2].step,
                       b=cfg.b, fq=fq, d=d)
     if cfg.operators is not None:
-        qm = _entries(cfg.operators["q_minus"], "q_minus")
-        q = _entries(cfg.operators["q"], "q")
-        fq = _entries(cfg.operators["fq"], "fq")
-        d = _entries(cfg.operators["d"], "d")
+        qm, q, fq, d = (_entries(cfg.operators[k], k) for k in ("q_minus", "q", "fq", "d"))
         dm, dmid, dp = qm.shape[1], qm.shape[0], q.shape[0]
         if cfg.dims is not None and cfg.dims != (dm, dmid, dp):
             raise ConfigError(f"config field 'dims': {list(cfg.dims)} does not match "
@@ -331,13 +334,7 @@ def scenario_spec(cfg: ScenarioConfig):
     data = scenario_data(cfg)
     p = None
     if cfg.polynomial is not None:
-        path = cfg.base_dir / cfg.polynomial
-        try:
-            records = json.loads(path.read_text())
-        except OSError as exc:
-            raise ConfigError(f"config field 'polynomial': cannot read '{path}': {exc}")
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config field 'polynomial': '{path}' is not valid json: {exc}")
+        records = _read_json(cfg.base_dir / cfg.polynomial, "", "config field 'polynomial': ")
         p = load_polynomial(records, data.space_minus)
     elif cfg.interaction is not None:
         bidegrees = [tuple(pair) for pair in cfg.interaction["bidegrees"]]
@@ -710,15 +707,12 @@ def _suite_lattice(cfg: ScenarioConfig) -> SuiteResult:
     tol = cfg.tolerance("lattice")
     rng = stream(cfg.seed, "lattice")
     if cfg.lattice is not None:
-        profile = cfg.lattice.get("profile")
-        cases = [("config", tuple(cfg.lattice["extents"]), tuple(cfg.lattice["block"]),
-                  None if profile is None else np.asarray(profile, dtype=float))]
+        cases = [("config", tuple(cfg.lattice["extents"]), _block_scheme(cfg.lattice))]
     else:
-        cases = [("1d", (8,), (2,), None), ("2d", (4, 4), (2, 2), None)]
+        cases = [("1d", (8,), BlockScheme((2,))), ("2d", (4, 4), BlockScheme((2, 2)))]
     checks = []
-    for tag, extents, block, profile in cases:
+    for tag, extents, scheme in cases:
         lat = TorusLattice(extents)
-        scheme = BlockScheme(block, profile)
         try:
             tower = build_tower(lat, scheme, 2)
         except ValueError as exc:

@@ -320,8 +320,16 @@ def critical_residual(spec: ActionSpec, psi_star, psi, theta_star, theta,
                       tol: float = 1e-13, cond_limit: float = DEFAULT_COND_LIMIT
                       ) -> tuple[FieldVector, FieldVector]:
     """Residual of the critical equations; solves the inner background."""
-    m = spec.mats
     smid = spec.rg.space_mid
+    r_star, r_unstar, _ = _critical_residual_and_background(
+        spec, psi_star, psi, theta_star, theta, tol, cond_limit)
+    return FieldVector(smid, r_star), FieldVector(smid, r_unstar)
+
+
+def _critical_residual_and_background(spec, psi_star, psi, theta_star, theta, tol,
+                                      cond_limit):
+    """The critical residual pair, plus the inner background solution it used."""
+    m = spec.mats
     b = spec.rg.b
     ps, pu = components(psi_star), components(psi)
     phi_star, phi = newton_background(spec, ps, pu, tol=tol, cond_limit=cond_limit)
@@ -329,7 +337,7 @@ def critical_residual(spec: ActionSpec, psi_star, psi, theta_star, theta,
               - m["fq_qm"] @ phi_star.components)
     r_unstar = (m["crit_lhs"] @ pu - b * m["qs"] @ components(theta)
                 - m["fq_qm"] @ phi.components)
-    return FieldVector(smid, r_star), FieldVector(smid, r_unstar)
+    return r_star, r_unstar, (phi_star, phi)
 
 
 def newton_critical(spec: ActionSpec, theta_star, theta, tol: float = 1e-12,
@@ -337,9 +345,9 @@ def newton_critical(spec: ActionSpec, theta_star, theta, tol: float = 1e-12,
                     ) -> tuple[FieldVector, FieldVector]:
     """Solve the critical equations at one coarse-source point.
 
-    The inner background problem is re-solved at every iterate; its
-    derivative enters the outer jacobian through the implicit function
-    theorem.
+    The residual solves the inner background problem at each iterate and
+    the jacobian (asked for only at the last one) reuses it; its derivative
+    enters the outer jacobian through the implicit function theorem.
     """
     m = spec.mats
     d = spec.rg.space_mid.dim
@@ -350,14 +358,17 @@ def newton_critical(spec: ActionSpec, theta_star, theta, tol: float = 1e-12,
     inner_tol = min(tol * 1e-1, 1e-13)
     z0 = np.concatenate([b * m["cov_star"] @ m["qs"] @ ts, b * m["cov"] @ m["qs"] @ tu])
 
+    inner = {}  # iterate bytes -> background solution, for the last iterate only
+
     def residual(z):
-        r_star, r_unstar = critical_residual(spec, z[:d], z[d:], ts, tu,
-                                             tol=inner_tol, cond_limit=cond_limit)
-        return np.concatenate([r_star.components, r_unstar.components])
+        r_star, r_unstar, bg = _critical_residual_and_background(
+            spec, z[:d], z[d:], ts, tu, inner_tol, cond_limit)
+        inner.clear()
+        inner[z.tobytes()] = bg
+        return np.concatenate([r_star, r_unstar])
 
     def jacobian(z):
-        phi_star, phi = newton_background(spec, z[:d], z[d:], tol=inner_tol,
-                                          cond_limit=cond_limit)
+        phi_star, phi = inner[z.tobytes()]
         j_bg = _background_jacobian(spec, phi_star.components, phi.components)
         src = np.zeros((2 * dm, 2 * d), dtype=complex)
         src[:dm, :d] = m["qms_fq"]

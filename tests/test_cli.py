@@ -118,10 +118,12 @@ def test_solve_critical_round_trip(tmp_path):
 
 def test_solve_rejects_malformed_point(tmp_path):
     point = tmp_path / "point.json"
-    point.write_text(json.dumps({"theta_star": [0.1, 0.2], "theta": [0.1]}))
-    out = run_cli("solve-critical", "--config", str(SRM), "--point", str(point))
-    assert out.returncode == 2
-    assert "theta_star" in out.stderr
+    for theta_star in ([0.1, 0.2], [None], ["a"]):
+        point.write_text(json.dumps({"theta_star": theta_star, "theta": [0.1]}))
+        out = run_cli("solve-critical", "--config", str(SRM), "--point", str(point))
+        assert out.returncode == 2
+        assert "theta_star" in out.stderr
+        assert "Traceback" not in out.stderr
 
 
 def test_solve_rejects_unknown_point_field(tmp_path):
@@ -149,6 +151,20 @@ def test_kernels_dump_includes_reference_values():
     assert abs(payload["scheck"]["re"][0][0] - 2 / 3) < 1e-15
     assert payload["delta"]["re"][0][0] == 0.5
     assert abs(payload["cov"]["re"][0][0] - 2 / 3) < 1e-15
+
+
+def test_kernels_exit_2_on_bad_input(tmp_path):
+    ops = {"q_minus": [[None]], "q": [[1.0]], "fq": [[1.0]], "d": [[1.0]]}
+    for field, overrides in (
+            ("lattice.profile", {"lattice": {"extents": [4, 4], "block": [2, 2],
+                                             "profile": [0.5, 0.5, 0.5]}}),
+            ("b", {"b": float("inf")}),
+            ("operators.q_minus", {"dims": [1, 1, 1], "operators": ops})):
+        cfg = write_config(tmp_path, **overrides)
+        out = run_cli("kernels", "--config", str(cfg))
+        assert out.returncode == 2
+        assert f"'{field}'" in out.stderr
+        assert "Traceback" not in out.stderr
 
 
 def test_unknown_format_is_usage_error(tmp_path):

@@ -55,7 +55,8 @@ def test_rejects_unknown_suite():
         cfg_from(suites=["woodbury", "bogus"])
 
 
-@pytest.mark.parametrize("dims", [[3, 2], [3, 2, 0], [3, 2, 1, 1], ["a", 2, 1]])
+@pytest.mark.parametrize("dims", [[3, 2], [3, 2, 0], [3, 2, 1, 1], ["a", 2, 1],
+                                  [True, 1, 1]])
 def test_rejects_bad_dims(dims, ):
     with pytest.raises(ConfigError, match="'dims'"):
         cfg_from(dims=dims)
@@ -76,7 +77,7 @@ def test_rejects_bad_grams():
         cfg_from(grams="fancy")
 
 
-@pytest.mark.parametrize("b", [0, -1.0, "x", True])
+@pytest.mark.parametrize("b", [0, -1.0, "x", True, float("inf"), float("nan")])
 def test_rejects_bad_b(b):
     with pytest.raises(ConfigError, match="'b'"):
         cfg_from(b=b)
@@ -98,9 +99,39 @@ def test_rejects_polynomial_and_interaction_together():
         cfg_from(polynomial="p.json", interaction={"bidegrees": [[1, 2]]})
 
 
-def test_rejects_bad_bidegrees():
+@pytest.mark.parametrize("bidegrees", [[[1, 2, 3]], [[True, 2]]])
+def test_rejects_bad_bidegrees(bidegrees):
     with pytest.raises(ConfigError, match="'interaction.bidegrees'"):
-        cfg_from(interaction={"bidegrees": [[1, 2, 3]]})
+        cfg_from(interaction={"bidegrees": bidegrees})
+
+
+@pytest.mark.parametrize("profile", [[0.5, 0.5, 0.5], ["a", 0.25, 0.25, 0.25], None,
+                                     [None, 0.5, 0.25, 0.25], [0.5, 0.5, 0.5, 0.5],
+                                     [0.25, 0.25, 0.25, float("nan")]])
+def test_rejects_bad_lattice_profile(profile):
+    with pytest.raises(ConfigError, match="'lattice.profile'"):
+        cfg_from(lattice={"extents": [4, 4], "block": [2, 2], "profile": profile})
+
+
+def test_lattice_profile_is_used():
+    cfg = cfg_from(lattice={"extents": [4, 4], "block": [2, 2],
+                            "profile": [0.4, 0.1, 0.1, 0.4]})
+    assert scenario_data(cfg).q_minus.entries[0, 0] == 0.4
+
+
+@pytest.mark.parametrize("field, raw", [
+    ("lattice", {"extents": [8], "block": [2], "profil": [0.5, 0.5]}),
+    ("interaction", {"bidegrees": [[1, 2]], "scael": 5}),
+])
+def test_rejects_unknown_nested_entry(field, raw):
+    with pytest.raises(ConfigError, match=f"config field '{field}': unknown entry"):
+        cfg_from(**{field: raw})
+
+
+def test_rejects_null_in_operator_matrix():
+    ops = {"q_minus": [[None]], "q": [[1.0]], "fq": [[1.0]], "d": [[1.0]]}
+    with pytest.raises(ConfigError, match="'operators.q_minus'"):
+        cfg_from(dims=[1, 1, 1], operators=ops)
 
 
 @pytest.mark.parametrize("order", [0, 9, "4", None])
@@ -119,7 +150,8 @@ def test_rejects_nonpositive_tolerance():
         cfg_from(tolerances={"woodbury": 0})
 
 
-@pytest.mark.parametrize("radii", [[1.0], [1.0, -2.0], [1.0, 0], "wide"])
+@pytest.mark.parametrize("radii", [[1.0], [1.0, -2.0], [1.0, 0], "wide",
+                                   [1.0, float("inf")]])
 def test_rejects_bad_radii(radii):
     with pytest.raises(ConfigError, match="'radii'"):
         cfg_from(radii=radii)

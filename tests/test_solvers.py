@@ -438,6 +438,35 @@ def test_newton_critical_composes_to_nextscale():
     assert abs(fs.components[0] - sv.components[0]) <= 1e-7
 
 
+def test_newton_critical_solves_each_inner_point_once(monkeypatch):
+    # the jacobian reuses the inner background solve of the residual at the
+    # same iterate instead of repeating it
+    from pathlib import Path
+
+    from blockspin.harness import ScenarioConfig, scenario_spec
+    from blockspin.linalg import components
+
+    srm = Path(__file__).resolve().parent.parent / "scenarios" / "srm.json"
+    inner = solvers.newton_background
+    solved = []
+
+    def counted(spec, psi_star, psi, tol=1e-12, **kwargs):
+        solved.append((components(psi_star).tobytes(), components(psi).tobytes(), tol))
+        return inner(spec, psi_star, psi, tol=tol, **kwargs)
+
+    monkeypatch.setattr(solvers, "newton_background", counted)
+    rng = rng_for(140)
+    for spec in (scenario_spec(ScenarioConfig.from_file(srm)),
+                 general_spec(rng_for(141), (4, 3, 2), max_cond=1e4)):
+        dim = spec.rg.space_plus.dim
+        theta_star = 0.3 * (rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+        theta = 0.3 * (rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+        solved.clear()
+        solvers.newton_critical(spec, theta_star, theta)
+        assert len(solved) >= 2  # the start point and at least one Newton step
+        assert len(set(solved)) == len(solved)
+
+
 def test_newton_vs_series_doubling_critical():
     spec = general_spec(rng_for(23), (3, 2, 1), bidegrees=((1, 2), (0, 3)),
                         scale=0.2, max_cond=1e4)
