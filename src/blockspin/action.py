@@ -25,7 +25,6 @@ from . import tensorpoly as tp
 from .errors import BlockspinError
 from .kernels import KernelSet, RGData, build_kernels, starred_kernels
 from .linalg import (
-    DEFAULT_COND_LIMIT,
     FieldVector,
     Operator,
     adjoint,
@@ -59,11 +58,10 @@ class ActionSpec:
         return self.rg.space_minus, self.rg.space_mid, self.rg.space_plus
 
 
-def make_action_spec(rg: RGData, p: PolynomialP | None = None,
-                     cond_limit: float = DEFAULT_COND_LIMIT) -> ActionSpec:
+def make_action_spec(rg: RGData, p: PolynomialP | None = None) -> ActionSpec:
     if p is None:
         p = PolynomialP.zero(rg.space_minus)
-    return ActionSpec(rg, p, build_kernels(rg, cond_limit))
+    return ActionSpec(rg, p, build_kernels(rg))
 
 
 def _matrix_table(rg: RGData, ks: KernelSet) -> dict:
@@ -184,8 +182,7 @@ def grad_next_action(spec: ActionSpec, theta_star, theta, phi_star, phi) -> dict
     }
 
 
-def psi_tilde(spec: ActionSpec, theta, phi, cond_limit: float = DEFAULT_COND_LIMIT
-              ) -> FieldVector:
+def psi_tilde(spec: ActionSpec, theta, phi) -> FieldVector:
     """The middle field interpolating a coarse source and a fine background:
     (b q*q + fq)^{-1} (b q* theta + fq qm phi).
 
@@ -193,12 +190,12 @@ def psi_tilde(spec: ActionSpec, theta, phi, cond_limit: float = DEFAULT_COND_LIM
     """
     m = spec.mats
     rhs = spec.rg.b * m["qs"] @ components(theta) + m["fq_qm"] @ components(phi)
-    out = gated_solve(m["crit_lhs"], rhs, "b q*q + fq", cond_limit)
+    out = gated_solve(m["crit_lhs"], rhs, "b q*q + fq")
     return FieldVector(spec.rg.space_mid, out)
 
 
-def preparation_check(spec: ActionSpec, theta_star, theta, phi_star, phi,
-                      cond_limit: float = DEFAULT_COND_LIMIT) -> tuple[float, float]:
+def preparation_check(spec: ActionSpec, theta_star, theta, phi_star, phi
+                      ) -> tuple[float, float]:
     """Residuals of the two preparation statements at one point.
 
     First: the next action equals the effective action evaluated on the
@@ -206,8 +203,8 @@ def preparation_check(spec: ActionSpec, theta_star, theta, phi_star, phi,
     two sides differ exactly by the middle-field chain-rule term.  Both
     residuals are relative, floored at scale one.
     """
-    pt = psi_tilde(spec, theta, phi, cond_limit)
-    pt_star = psi_tilde(spec, theta_star, phi_star, cond_limit)
+    pt = psi_tilde(spec, theta, phi)
+    pt_star = psi_tilde(spec, theta_star, phi_star)
 
     lhs = next_action(spec, theta_star, theta, phi_star, phi)
     rhs = effective_action(spec, theta_star, theta, pt_star, pt, phi_star, phi)
@@ -218,7 +215,7 @@ def preparation_check(spec: ActionSpec, theta_star, theta, phi_star, phi,
     g_eff = grad_effective_action(spec, theta_star, theta, pt_star, pt, phi_star, phi)
     m = spec.mats
     chain = m["qms_fq"] @ gated_solve(m["crit_lhs"], np.eye(spec.rg.space_mid.dim),
-                                      "b q*q + fq", cond_limit)
+                                      "b q*q + fq")
     res = 0.0
     scale = 1.0
     for slot, eff_slot in (("phi_star", "psi_star"), ("phi", "psi")):

@@ -30,11 +30,11 @@ def stream(seed: int, label: str) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def random_spd(rng: np.random.Generator, n: int, spread: float = 0.5) -> np.ndarray:
+def random_spd(rng: np.random.Generator, n: int) -> np.ndarray:
     """SPD draw: QR basis from one (n, n) normal block, then n log-uniform
-    eigenvalues in exp(+-spread)."""
+    eigenvalues in exp(+-0.5)."""
     basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    vals = np.exp(rng.uniform(-spread, spread, size=n))
+    vals = np.exp(rng.uniform(-0.5, 0.5, size=n))
     m = (basis * vals) @ basis.T
     return 0.5 * (m + m.T)
 
@@ -96,15 +96,15 @@ def unit_field(rng: np.random.Generator, space: SpaceSpec,
 
 def random_spec(rng: np.random.Generator, dims,
                 bidegrees=((1, 2), (0, 3), (2, 2)), scale: float = 0.3,
-                max_cond: float | None = None, identity_grams: bool = True,
-                b: float | None = None) -> ActionSpec:
+                max_cond: float | None = None, identity_grams: bool = True
+                ) -> ActionSpec:
     """Well-posed random scenario by rejection: redraw while the kernel
     construction trips a conditioning gate, or while any kernel condition
     number exceeds max_cond.  Rejected draws consume the stream, so the
     accepted one is reproducible."""
     while True:
         try:
-            data = random_rg_data(rng, dims, b=b, identity_grams=identity_grams)
+            data = random_rg_data(rng, dims, identity_grams=identity_grams)
             p = random_polynomial(rng, data.space_minus, bidegrees, scale)
             spec = make_action_spec(data, p)
         except NearSingularError:

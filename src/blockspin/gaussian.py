@@ -21,8 +21,7 @@ import numpy as np
 from .action import ActionSpec, delta_e
 from .errors import BlockspinError, ConvergenceError, QuadratureError
 from .kernels import RGData, build_kernels, next_scale_delta
-from .linalg import (DEFAULT_COND_LIMIT, FieldVector, Operator, components,
-                     gated_solve)
+from .linalg import FieldVector, Operator, components, gated_solve
 from .solvers import (_critical_base, delta_a_direct, delta_a_formula,
                       delta_phi_plus_series)
 
@@ -30,6 +29,9 @@ __all__ = [
     "gaussian_exact", "gaussian_source_exact", "insertion_constant",
     "prop_d_gaussian_check", "fluctuation_integral", "prop_d_quadrature_check",
 ]
+
+# stopping rule of the batched Newton solves on the quadrature grids
+_GRID_TOL, _GRID_MAX_ITER = 1e-12, 60
 
 
 def _require_positive(space, entries: np.ndarray, what: str) -> float:
@@ -44,7 +46,7 @@ def _require_positive(space, entries: np.ndarray, what: str) -> float:
     return low
 
 
-def gaussian_exact(m: Operator, what: str = "quadratic kernel") -> complex:
+def gaussian_exact(m: Operator) -> complex:
     """Whole-space integral of exp(-<phi*, M phi>).
 
     The value is 1/det(M), independent of the bilinear form because the
@@ -52,32 +54,30 @@ def gaussian_exact(m: Operator, what: str = "quadratic kernel") -> complex:
     hermitian; convergence only needs the hermitian part of G M positive.
     """
     m.domain.require_compatible(m.codomain, "gaussian kernel spaces")
-    _require_positive(m.domain, m.entries, what)
+    _require_positive(m.domain, m.entries, "quadratic kernel")
     return 1.0 / complex(np.linalg.det(m.entries))
 
 
-def gaussian_source_exact(m: Operator, j_star, k,
-                          cond_limit: float = DEFAULT_COND_LIMIT) -> complex:
+def gaussian_source_exact(m: Operator, j_star, k) -> complex:
     """Integral of exp(-<phi*, M phi> + <j_star, phi> + <phi*, k>).
 
     Completing the square shifts both contours and leaves
     det(M)^{-1} exp(<j_star, M^{-1} k>).
     """
     base = gaussian_exact(m)
-    mk = gated_solve(m.entries, components(k), "gaussian kernel", cond_limit)
+    mk = gated_solve(m.entries, components(k), "gaussian kernel")
     shift = components(j_star) @ m.domain.gram @ mk
     return complex(base * np.exp(shift))
 
 
-def insertion_constant(data: RGData, shifts: int = 10,
-                       rng: np.random.Generator | None = None
+def insertion_constant(data: RGData, rng: np.random.Generator | None = None
                        ) -> tuple[float, float]:
     """Constant produced by inserting the coarse-field delta approximation:
 
         int dmu_plus exp(-b <theta* - w*, theta - w>) = b**(-dim_plus)
 
     independent of the shift pair (w*, w).  Returns the constant together
-    with the largest relative departure over ``shifts`` random shift pairs,
+    with the largest relative departure over ten random shift pairs,
     which exercises the completed-square cancellation directly.
     """
     sp = data.space_plus
@@ -86,7 +86,7 @@ def insertion_constant(data: RGData, shifts: int = 10,
     m = Operator(sp, sp, data.b * np.eye(sp.dim))
     base = gaussian_exact(m).real
     worst = 0.0
-    for _ in range(int(shifts)):
+    for _ in range(10):
         w_star = rng.standard_normal(sp.dim) + 1j * rng.standard_normal(sp.dim)
         w = rng.standard_normal(sp.dim) + 1j * rng.standard_normal(sp.dim)
         val = gaussian_source_exact(m, FieldVector(sp, data.b * w_star),
@@ -96,8 +96,7 @@ def insertion_constant(data: RGData, shifts: int = 10,
     return float(base), float(worst)
 
 
-def prop_d_gaussian_check(data: RGData,
-                          cond_limit: float = DEFAULT_COND_LIMIT) -> dict:
+def prop_d_gaussian_check(data: RGData) -> dict:
     """Determinant form of the one-step Gaussian split:
 
         det(delta)^{-1} = b**dim_plus * det(delta_check)^{-1} * det(cov)
@@ -112,8 +111,8 @@ def prop_d_gaussian_check(data: RGData,
         raise BlockspinError(
             f"averaging map q has row rank {rank} < dim {d_plus}; the "
             "coarse change of variables is degenerate")
-    ks = build_kernels(data, cond_limit)
-    dcheck = next_scale_delta(data, ks, cond_limit)
+    ks = build_kernels(data)
+    dcheck = next_scale_delta(data, ks)
     _require_positive(data.space_mid, ks.delta.entries, "fluctuation kernel delta")
     _require_positive(data.space_plus, dcheck.entries, "next-scale delta")
     _require_positive(data.space_mid, ks.cov.entries, "covariance cov")
@@ -183,8 +182,7 @@ def _polar_grid(r_inner: float, r_outer: float, n_radial: int,
     return pts, wts
 
 
-def _background_grid(sc: dict, pc: dict, psi_star, psi,
-                     tol: float = 1e-12, max_iter: int = 60):
+def _background_grid(sc: dict, pc: dict, psi_star, psi):
     """Newton on the pair of background equations, vectorized over nodes.
 
     The system is polynomial in the independent unknowns (phi_star, phi),
@@ -204,11 +202,11 @@ def _background_grid(sc: dict, pc: dict, psi_star, psi,
     phi_star = f_star / lin
     phi = f_un / lin
     res = np.inf
-    for _ in range(max_iter):
+    for _ in range(_GRID_MAX_ITER):
         r_star = lin * phi_star + _poly_val(g_un, phi_star, phi) - f_star
         r_un = lin * phi + _poly_val(g_star, phi_star, phi) - f_un
         res = max(float(np.abs(r_star).max()), float(np.abs(r_un).max()))
-        if res <= tol:
+        if res <= _GRID_TOL:
             return phi_star, phi
         j11 = lin + _poly_val(g_us, phi_star, phi)
         j12 = _poly_val(g_uu, phi_star, phi)
@@ -218,12 +216,11 @@ def _background_grid(sc: dict, pc: dict, psi_star, psi,
         phi_star = phi_star - (j22 * r_star - j12 * r_un) / det
         phi = phi - (j11 * r_un - j21 * r_star) / det
     raise ConvergenceError(
-        f"background grid: no convergence after {max_iter} iterations "
-        f"(max residual {res:.3e}, tolerance {tol:.3e})")
+        f"background grid: no convergence after {_GRID_MAX_ITER} iterations "
+        f"(max residual {res:.3e}, tolerance {_GRID_TOL:.3e})")
 
 
-def _critical_grid(sc: dict, pc: dict, theta_star, theta,
-                   tol: float = 1e-12, max_iter: int = 60):
+def _critical_grid(sc: dict, pc: dict, theta_star, theta):
     """Joint Newton for (phi_star, phi, psi_star, psi) on a theta grid:
     the background pair coupled to the critical-field pair, solved batched.
     """
@@ -253,14 +250,14 @@ def _critical_grid(sc: dict, pc: dict, theta_star, theta,
     jac[:, 3, 1] = -cpl
     jac[:, 3, 3] = m_crit
     res = np.inf
-    for _ in range(max_iter):
+    for _ in range(_GRID_MAX_ITER):
         r = np.empty((n, 4), dtype=complex)
         r[:, 0] = lin * phi_star + _poly_val(g_un, phi_star, phi) - drive * psi_star
         r[:, 1] = lin * phi + _poly_val(g_star, phi_star, phi) - drive * psi
         r[:, 2] = m_crit * psi_star - src_star - cpl * phi_star
         r[:, 3] = m_crit * psi - src - cpl * phi
         res = float(np.abs(r).max())
-        if res <= tol:
+        if res <= _GRID_TOL:
             return phi_star, phi, psi_star, psi
         jac[:, 0, 0] = lin + _poly_val(g_us, phi_star, phi)
         jac[:, 0, 1] = _poly_val(g_uu, phi_star, phi)
@@ -272,13 +269,14 @@ def _critical_grid(sc: dict, pc: dict, theta_star, theta,
         psi_star = psi_star - step[:, 2]
         psi = psi - step[:, 3]
     raise ConvergenceError(
-        f"critical grid: no convergence after {max_iter} iterations "
-        f"(max residual {res:.3e}, tolerance {tol:.3e})")
+        f"critical grid: no convergence after {_GRID_MAX_ITER} iterations "
+        f"(max residual {res:.3e}, tolerance {_GRID_TOL:.3e})")
 
 
 def _coupling_rowsum(b: float, q: float, theta: np.ndarray, u: np.ndarray,
-                     w_vals: np.ndarray, chunk: int = 256) -> np.ndarray:
+                     w_vals: np.ndarray) -> np.ndarray:
     """sum_u exp(-b |theta_j - q u|^2) w_vals[u], chunked over theta rows."""
+    chunk = 256
     out = np.empty(theta.shape, dtype=complex)
     qu = q * u
     for lo in range(0, theta.size, chunk):
@@ -288,12 +286,12 @@ def _coupling_rowsum(b: float, q: float, theta: np.ndarray, u: np.ndarray,
 
 
 def _split_pass(sc: dict, pc: dict, r_mid: float, r_plus: float, n: int,
-                sigmas: float, e_cb, tol: float) -> dict:
+                sigmas: float, e_cb) -> dict:
     b, q, qm, fq, d, qc, qcm = (sc["b"], sc["q"], sc["qm"], sc["fq"],
                                 sc["d"], sc["qc"], sc["qcm"])
     u, w_u = _polar_grid(0.0, r_mid, n, n)
     u_star = np.conj(u)
-    phs, ph = _background_grid(sc, pc, u_star, u, tol)
+    phs, ph = _background_grid(sc, pc, u_star, u)
     a_mid = ((u_star - qm * phs) * fq * (u - qm * ph)
              + phs * d * ph + _poly_val(pc, phs, ph))
     e_mid = e_cb(u_star, u) if e_cb is not None else 0.0
@@ -303,7 +301,7 @@ def _split_pass(sc: dict, pc: dict, r_mid: float, r_plus: float, n: int,
     # small field: critical re-centering inside |theta| <= r_plus
     th, w_th = _polar_grid(0.0, r_plus, n, n)
     th_star = np.conj(th)
-    cps, cp, pss, ps = _critical_grid(sc, pc, th_star, th, tol)
+    cps, cp, pss, ps = _critical_grid(sc, pc, th_star, th)
     p_at_cp = _poly_val(pc, cps, cp)
     a_check = (th_star - qcm * cps) * qc * (th - qcm * cp) + cps * d * cp + p_at_cp
     a_eff = (b * (th_star - q * pss) * (th - q * ps)
@@ -330,9 +328,7 @@ def _rel_diff(a: complex, b: complex) -> float:
 
 def prop_d_quadrature_check(spec: ActionSpec, radii, nodes_per_axis: int = 64,
                             theta_cutoff_sigmas: float = 6.0,
-                            tolerance: float = 1e-3, e_callback=None,
-                            check_nodes: bool = True,
-                            newton_tol: float = 1e-12) -> dict:
+                            tolerance: float = 1e-3, e_callback=None) -> dict:
     """Both sides of the one-step Gaussian split over finite discs.
 
     LHS integrates exp(-A + E) at the background over |psi| <= radii[0] on
@@ -353,37 +349,26 @@ def prop_d_quadrature_check(spec: ActionSpec, radii, nodes_per_axis: int = 64,
     if r_mid <= 0.0 or r_plus <= 0.0:
         raise BlockspinError(f"radii must be positive, got ({r_mid}, {r_plus})")
     n = int(nodes_per_axis)
-    first = _split_pass(sc, pc, r_mid, r_plus, n, theta_cutoff_sigmas,
-                        e_callback, newton_tol)
-    result = first
-    node_dev = None
-    if check_nodes:
-        n_fine = int(np.ceil(1.5 * n))
-        fine = _split_pass(sc, pc, r_mid, r_plus, n_fine, theta_cutoff_sigmas,
-                           e_callback, newton_tol)
-        node_dev = {"lhs": _rel_diff(first["lhs"], fine["lhs"]),
-                    "rhs": _rel_diff(first["rhs"], fine["rhs"])}
-        worst = max(node_dev.values())
-        if worst > 0.5 * tolerance:
-            raise QuadratureError(
-                f"grids at {n} and {n_fine} nodes per axis disagree by "
-                f"{worst:.3e} (allowed {0.5 * tolerance:.3e}); refine the grid "
-                "or loosen the tolerance")
-        result = fine
-    rel = _rel_diff(result["lhs"], result["rhs"])
-    out = dict(result)
-    out["relative_difference"] = rel
-    out["within_tolerance"] = bool(rel <= tolerance)
-    if node_dev is not None:
-        out["node_deviation"] = node_dev
-    return out
+    first = _split_pass(sc, pc, r_mid, r_plus, n, theta_cutoff_sigmas, e_callback)
+    n_fine = int(np.ceil(1.5 * n))
+    fine = _split_pass(sc, pc, r_mid, r_plus, n_fine, theta_cutoff_sigmas, e_callback)
+    node_dev = {"lhs": _rel_diff(first["lhs"], fine["lhs"]),
+                "rhs": _rel_diff(first["rhs"], fine["rhs"])}
+    worst = max(node_dev.values())
+    if worst > 0.5 * tolerance:
+        raise QuadratureError(
+            f"grids at {n} and {n_fine} nodes per axis disagree by "
+            f"{worst:.3e} (allowed {0.5 * tolerance:.3e}); refine the grid "
+            "or loosen the tolerance")
+    rel = _rel_diff(fine["lhs"], fine["rhs"])
+    return dict(fine, relative_difference=rel, within_tolerance=bool(rel <= tolerance),
+                node_deviation=node_dev)
 
 
 def fluctuation_integral(spec: ActionSpec, theta_star, theta,
                          radius: float | None = None, nodes_per_axis: int = 48,
                          increment: str = "direct", max_degree: int = 6,
-                         e_callback=None, newton_tol: float = 1e-13,
-                         cond_limit: float = DEFAULT_COND_LIMIT) -> complex:
+                         e_callback=None) -> complex:
     """F(theta*, theta) = int exp(-delta_a + delta_e) dmu over the domain of
     fluctuations around the critical point.
 
@@ -412,25 +397,22 @@ def fluctuation_integral(spec: ActionSpec, theta_star, theta,
     if not np.allclose(ts, np.conj(tu), atol=1e-13):
         raise BlockspinError("quadrature runs on the conjugate slice; "
                              "theta_star must be the conjugate of theta")
-    base = _critical_base(spec, ts, tu, newton_tol, cond_limit)
+    tol = 1e-13  # Newton tolerance of the critical base and of every increment
+    base = _critical_base(spec, ts, tu, tol)
     psi_star_cr, psi_cr = base[0], base[1]
     series = None
     if increment == "formula":
-        series = delta_phi_plus_series(spec, ts, tu, max_degree,
-                                       tol=newton_tol, cond_limit=cond_limit,
-                                       _base=base)
+        series = delta_phi_plus_series(spec, ts, tu, max_degree, tol=tol, _base=base)
     u, w_u = _polar_grid(0.0, float(radius), int(nodes_per_axis), int(nodes_per_axis))
     terms = np.empty(u.size, dtype=complex)
     for i in range(u.size):
         dpsi = np.array([u[i]]) - psi_cr
         dpsi_star = np.array([np.conj(u[i])]) - psi_star_cr
         if increment == "direct":
-            da = delta_a_direct(spec, ts, tu, dpsi_star, dpsi, tol=newton_tol,
-                                cond_limit=cond_limit, _base=base)
+            da = delta_a_direct(spec, ts, tu, dpsi_star, dpsi, tol=tol, _base=base)
         else:
             da = delta_a_formula(spec, ts, tu, dpsi_star, dpsi, max_degree,
-                                 increment_plus=series, tol=newton_tol,
-                                 cond_limit=cond_limit, _base=base)
+                                 increment_plus=series, tol=tol, _base=base)
         de = (delta_e(e_callback, psi_star_cr, psi_cr, dpsi_star, dpsi)
               if e_callback is not None else 0.0)
         terms[i] = w_u[i] * np.exp(-da + de)

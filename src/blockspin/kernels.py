@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import BlockspinError
 from .linalg import (
-    DEFAULT_COND_LIMIT,
     Operator,
     SpaceSpec,
     adjoint,
@@ -67,60 +66,55 @@ class RGData:
             raise ValueError("fq must be positive definite for the pairing")
         # d is allowed to be non-symmetric; starred kernels use its adjoint
 
-    def d_is_symmetric(self, tol: float = 1e-12) -> bool:
-        return form_asymmetry(self.d) <= tol
+    def d_is_symmetric(self) -> bool:
+        return form_asymmetry(self.d) <= 1e-12
 
 
-def qcheck_recursion(data: RGData, cond_limit: float = DEFAULT_COND_LIMIT) -> Operator:
+def qcheck_recursion(data: RGData) -> Operator:
     """Next-scale constraint form, direct definition ((1/b) + q fq^{-1} q*)^{-1}."""
     qs = adjoint(data.q)
-    fq_inv = gated_inverse(data.fq.entries, "fq", cond_limit)
+    fq_inv = gated_inverse(data.fq.entries, "fq")
     m = np.eye(data.space_plus.dim) / data.b + data.q.entries @ fq_inv @ qs.entries
-    entries = gated_inverse(m, "(1/b) + q fq^{-1} q*", cond_limit)
+    entries = gated_inverse(m, "(1/b) + q fq^{-1} q*")
     return Operator(data.space_plus, data.space_plus, entries)
 
 
-def qcheck_alt(data: RGData, cond_limit: float = DEFAULT_COND_LIMIT) -> Operator:
+def qcheck_alt(data: RGData) -> Operator:
     """Same kernel via the inner Schur factor: b (1 - b q (b q*q + fq)^{-1} q*)."""
     qs = adjoint(data.q)
     m = data.b * qs.entries @ data.q.entries + data.fq.entries
-    y = np.linalg.solve(gate(m, "b q*q + fq", cond_limit), qs.entries)
+    y = np.linalg.solve(gate(m, "b q*q + fq"), qs.entries)
     entries = data.b * (np.eye(data.space_plus.dim) - data.b * data.q.entries @ y)
     return Operator(data.space_plus, data.space_plus, entries)
 
 
-def greens(data: RGData, cond_limit: float = DEFAULT_COND_LIMIT,
-           qcheck: Operator | None = None) -> tuple[Operator, Operator]:
+def greens(data: RGData, qcheck: Operator) -> tuple[Operator, Operator]:
     """Background Green's operators (s, scheck) of this scale and the next.
 
-    ``qcheck`` does not depend on d; pass it when it is already known.
+    ``qcheck`` does not depend on d, so one serves d and its adjoint.
     """
     qms = adjoint(data.q_minus)
     s_entries = gated_inverse(
         data.d.entries + qms.entries @ data.fq.entries @ data.q_minus.entries,
-        "d + q_minus* fq q_minus", cond_limit)
-    qchk = qcheck_recursion(data, cond_limit) if qcheck is None else qcheck
+        "d + q_minus* fq q_minus")
     qcm = data.q @ data.q_minus
     qcms = adjoint(qcm)
     sc_entries = gated_inverse(
-        data.d.entries + qcms.entries @ qchk.entries @ qcm.entries,
-        "d + qcm* qcheck qcm", cond_limit)
+        data.d.entries + qcms.entries @ qcheck.entries @ qcm.entries,
+        "d + qcm* qcheck qcm")
     sm = data.space_minus
     return Operator(sm, sm, s_entries), Operator(sm, sm, sc_entries)
 
 
-def delta_cov(data: RGData, s: Operator | None = None,
-              cond_limit: float = DEFAULT_COND_LIMIT) -> tuple[Operator, Operator]:
+def delta_cov(data: RGData, s: Operator) -> tuple[Operator, Operator]:
     """Fluctuation kernel delta and the covariance cov = (delta + b q*q)^{-1}."""
-    if s is None:
-        s = greens(data, cond_limit)[0]
     qm = data.q_minus.entries
     qms = adjoint(data.q_minus).entries
     fqe = data.fq.entries
     delta_entries = fqe - fqe @ qm @ s.entries @ qms @ fqe
     qs = adjoint(data.q).entries
     cov_entries = gated_inverse(delta_entries + data.b * qs @ data.q.entries,
-                                "delta + b q*q", cond_limit)
+                                "delta + b q*q")
     mid = data.space_mid
     return Operator(mid, mid, delta_entries), Operator(mid, mid, cov_entries)
 
@@ -137,10 +131,10 @@ class KernelSet:
     diagnostics: dict = field(default_factory=dict)
 
 
-def build_kernels(data: RGData, cond_limit: float = DEFAULT_COND_LIMIT) -> KernelSet:
-    qchk = qcheck_recursion(data, cond_limit)
-    s, scheck = greens(data, cond_limit, qchk)
-    delta, cov = delta_cov(data, s, cond_limit)
+def build_kernels(data: RGData) -> KernelSet:
+    qchk = qcheck_recursion(data)
+    s, scheck = greens(data, qchk)
+    delta, cov = delta_cov(data, s)
     diagnostics = {
         "cond_fq": cond(data.fq),
         "cond_d": cond(data.d),
@@ -165,8 +159,7 @@ def build_kernels(data: RGData, cond_limit: float = DEFAULT_COND_LIMIT) -> Kerne
     return ks
 
 
-def starred_kernels(data: RGData, kernels: KernelSet | None = None,
-                    cond_limit: float = DEFAULT_COND_LIMIT
+def starred_kernels(data: RGData, kernels: KernelSet | None = None
                     ) -> tuple[Operator, Operator, Operator, Operator]:
     """(s*, scheck*, delta*, cov*): the kernels built from the adjoint of d.
 
@@ -175,21 +168,18 @@ def starred_kernels(data: RGData, kernels: KernelSet | None = None,
     ``kernels`` serves both.
     """
     if kernels is None:
-        kernels = build_kernels(data, cond_limit)
+        kernels = build_kernels(data)
     dstar = adjoint(data.d)
     data_star = RGData(data.space_minus, data.space_mid, data.space_plus,
                        data.q_minus, data.q, data.b, data.fq, dstar)
-    s_star, scheck_star = greens(data_star, cond_limit, kernels.qcheck)
-    delta_star, cov_star = delta_cov(data_star, s_star, cond_limit)
+    s_star, scheck_star = greens(data_star, kernels.qcheck)
+    delta_star, cov_star = delta_cov(data_star, s_star)
     return s_star, scheck_star, delta_star, cov_star
 
 
-def next_scale_delta(data: RGData, kernels: KernelSet | None = None,
-                     cond_limit: float = DEFAULT_COND_LIMIT) -> Operator:
+def next_scale_delta(data: RGData, kernels: KernelSet) -> Operator:
     """The coarse-space analogue of delta one scale up:
     qcheck - qcheck qcm scheck qcm* qcheck."""
-    if kernels is None:
-        kernels = build_kernels(data, cond_limit)
     qcm = (data.q @ data.q_minus).entries
     qcms = adjoint(data.q @ data.q_minus).entries
     qc = kernels.qcheck.entries
@@ -197,8 +187,7 @@ def next_scale_delta(data: RGData, kernels: KernelSet | None = None,
     return Operator(data.space_plus, data.space_plus, entries)
 
 
-def identity_suite(data: RGData, kernels: KernelSet | None = None,
-                   cond_limit: float = DEFAULT_COND_LIMIT) -> dict[str, float]:
+def identity_suite(data: RGData, kernels: KernelSet | None = None) -> dict[str, float]:
     """Residuals of the five closed-form identities tying the kernels together.
 
     All of them assume d is invertible on top of the construction
@@ -209,11 +198,10 @@ def identity_suite(data: RGData, kernels: KernelSet | None = None,
     of that identity's variants.
     """
     if kernels is None:
-        kernels = build_kernels(data, cond_limit)
+        kernels = build_kernels(data)
     dm = data.space_minus.dim
     d_inv = gated_inverse(data.d.entries,
-                          "d (invertibility assumption of the kernel identity suite)",
-                          cond_limit)
+                          "d (invertibility assumption of the kernel identity suite)")
     b = data.b
     fq = data.fq.entries
     qm = data.q_minus.entries
@@ -243,10 +231,10 @@ def identity_suite(data: RGData, kernels: KernelSet | None = None,
     res["b"] = rel_opnorm(s_from_delta - s, s)
 
     # (c) scheck from s and cov, in both resolvent and additive form
-    m = gate(fq + b * qs @ q, "fq + b q*q", cond_limit)
+    m = gate(fq + b * qs @ q, "fq + b q*q")
     inner = qms @ fq @ np.linalg.solve(m, fq @ qm)
     sc_inv = gate(data.d.entries + qms @ fq @ qm - inner,
-                  "s^{-1} - q_minus* fq (fq + b q*q)^{-1} fq q_minus", cond_limit)
+                  "s^{-1} - q_minus* fq (fq + b q*q)^{-1} fq q_minus")
     c1 = rel_opnorm(np.linalg.solve(sc_inv, np.eye(dm)) - sc, sc)
     sc_add = s + s @ qms @ fq @ cv @ fq @ qm @ s
     c2 = rel_opnorm(sc_add - sc, sc)
@@ -258,7 +246,7 @@ def identity_suite(data: RGData, kernels: KernelSet | None = None,
     res["d"] = rel_opnorm(cov_add - cv, cv)
 
     # (e) leading coefficient of the critical step, unstarred and starred
-    s_star, scheck_star, _, cov_star = starred_kernels(data, kernels, cond_limit)
+    s_star, scheck_star, _, cov_star = starred_kernels(data, kernels)
     e_res = []
     for cvx, scx in ((cv, sc), (cov_star.entries, scheck_star.entries)):
         lhs = b * cvx @ qs

@@ -158,9 +158,8 @@ def build_tower(lat: TorusLattice, scheme: BlockScheme, steps: int) -> list[Towe
     levels = [TowerLevel(lat, ident, ident)]
     current = lat
     for k in range(1, steps + 1):
-        sublattice(current, scheme, step=k)  # re-check so the error names the step
+        coarse = sublattice(current, scheme, step=k)
         q = averaging_operator(current, scheme)
-        levels.append(TowerLevel(sublattice(current, scheme), q,
-                                 q @ levels[-1].cumulative))
+        levels.append(TowerLevel(coarse, q, q @ levels[-1].cumulative))
         current = levels[-1].lattice
     return levels

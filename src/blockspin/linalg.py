@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import NearSingularError, SpaceMismatchError
 
-DEFAULT_COND_LIMIT = 1e8
+COND_LIMIT = 1e8
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,42 +175,38 @@ def cond(a) -> float:
     return float(s[0] / s[-1])
 
 
-def gate(mat, assumption: str, cond_limit: float = DEFAULT_COND_LIMIT):
-    """The condition-number gate: ``mat`` unchanged if it is invertible
-    well enough to trust, else a NearSingularError naming the failed
-    invertibility assumption."""
+def gate(mat, assumption: str):
+    """The condition-number gate: ``mat`` unchanged if its condition number
+    is at most the fixed COND_LIMIT, else a NearSingularError naming the
+    failed invertibility assumption."""
     c = cond(mat)
-    if not np.isfinite(c) or c > cond_limit:
-        raise NearSingularError(assumption, c, cond_limit)
+    if not np.isfinite(c) or c > COND_LIMIT:
+        raise NearSingularError(assumption, c, COND_LIMIT)
     return mat
 
 
-def gated_solve(mat: np.ndarray, rhs: np.ndarray, assumption: str = "operator",
-                cond_limit: float = DEFAULT_COND_LIMIT) -> np.ndarray:
+def gated_solve(mat: np.ndarray, rhs: np.ndarray, assumption: str = "operator") -> np.ndarray:
     """np.linalg.solve behind the condition-number gate, so a near-singular
     system raises instead of returning an answer dominated by roundoff."""
-    return np.linalg.solve(gate(np.asarray(mat), assumption, cond_limit), rhs)
+    return np.linalg.solve(gate(np.asarray(mat), assumption), rhs)
 
 
-def gated_inverse(mat: np.ndarray, assumption: str = "operator",
-                  cond_limit: float = DEFAULT_COND_LIMIT) -> np.ndarray:
-    return gated_solve(mat, np.eye(mat.shape[0]), assumption, cond_limit)
+def gated_inverse(mat: np.ndarray, assumption: str = "operator") -> np.ndarray:
+    return gated_solve(mat, np.eye(mat.shape[0]), assumption)
 
 
-def solve(a: Operator, rhs, assumption: str | None = None,
-          cond_limit: float = DEFAULT_COND_LIMIT) -> FieldVector:
+def solve(a: Operator, rhs, assumption: str | None = None) -> FieldVector:
     """Solve A x = rhs for a square operator, gated on cond(A)."""
     a.domain.require_compatible(a.codomain, "solve")
     if isinstance(rhs, FieldVector):
         a.codomain.require_compatible(rhs.space, "solve right-hand side")
-    x = gated_solve(a.entries, components(rhs), assumption or "operator", cond_limit)
+    x = gated_solve(a.entries, components(rhs), assumption or "operator")
     return FieldVector(a.domain, x)
 
 
-def inverse(a: Operator, assumption: str | None = None,
-            cond_limit: float = DEFAULT_COND_LIMIT) -> Operator:
+def inverse(a: Operator) -> Operator:
     a.domain.require_compatible(a.codomain, "inverse")
-    entries = gated_inverse(a.entries, assumption or "operator", cond_limit)
+    entries = gated_inverse(a.entries, "operator")
     return Operator(a.codomain, a.domain, entries)
 
 
@@ -231,8 +227,7 @@ def form_asymmetry(a: Operator) -> float:
     return rel_opnorm(a - adjoint(a), a)
 
 
-def woodbury_left(f: Operator, g: Operator, q: Operator, q_star: Operator,
-                  cond_limit: float = DEFAULT_COND_LIMIT) -> Operator:
+def woodbury_left(f: Operator, g: Operator, q: Operator, q_star: Operator) -> Operator:
     """Inverse of (1_W + g q f^{-1} q_star) without forming f^{-1}.
 
     f acts on V, g on W, q: V -> W, q_star: W -> V (q_star need not be the
@@ -240,21 +235,19 @@ def woodbury_left(f: Operator, g: Operator, q: Operator, q_star: Operator,
     """
     _check_woodbury_shapes(f, g, q, q_star)
     # gate f itself: the left-hand side of the identity must exist
-    gate(f, "f (outer factor of the inversion identity)", cond_limit)
+    gate(f, "f (outer factor of the inversion identity)")
     m = f.entries + q_star.entries @ g.entries @ q.entries
-    y = gated_solve(m, q_star.entries, "f + q_star g q (inner Schur factor)", cond_limit)
+    y = gated_solve(m, q_star.entries, "f + q_star g q (inner Schur factor)")
     w = g.codomain
     return Operator(w, w, np.eye(w.dim) - g.entries @ q.entries @ y)
 
 
-def woodbury_right(f: Operator, g: Operator, q: Operator, q_star: Operator,
-                   cond_limit: float = DEFAULT_COND_LIMIT) -> Operator:
+def woodbury_right(f: Operator, g: Operator, q: Operator, q_star: Operator) -> Operator:
     """Inverse of (1_W + q f^{-1} q_star g): 1_W - q (f + q_star g q)^{-1} q_star g."""
     _check_woodbury_shapes(f, g, q, q_star)
-    gate(f, "f (outer factor of the inversion identity)", cond_limit)
+    gate(f, "f (outer factor of the inversion identity)")
     m = f.entries + q_star.entries @ g.entries @ q.entries
-    y = gated_solve(m, q_star.entries @ g.entries, "f + q_star g q (inner Schur factor)",
-                    cond_limit)
+    y = gated_solve(m, q_star.entries @ g.entries, "f + q_star g q (inner Schur factor)")
     w = g.codomain
     return Operator(w, w, np.eye(w.dim) - q.entries @ y)
 

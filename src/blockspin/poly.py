@@ -14,6 +14,7 @@ role of the starred drive and grad_star the unstarred one.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -112,6 +113,15 @@ def eval_p_and_grads(p: PolynomialP, phi_star, phi) -> tuple[complex, FieldVecto
     return value, FieldVector(p.space, d_phi), FieldVector(p.space, d_phi_star)
 
 
+def _require(ok: bool, where: str, what: str) -> None:
+    if not ok:
+        raise ValueError(f"polynomial {where}: {what}")
+
+
+def _is_index(v, bound: float = math.inf) -> bool:
+    return type(v) is int and 0 <= v < bound  # a json integer, never a bool
+
+
 def load_polynomial(path_or_records, space: SpaceSpec) -> PolynomialP:
     """Read the record format: a list of monomial blocks with sparse entries.
 
@@ -119,28 +129,38 @@ def load_polynomial(path_or_records, space: SpaceSpec) -> PolynomialP:
     re, im}].  Entries accumulate, and the assembled tensor is symmetrized,
     so listing a coefficient on one index ordering is enough.
     """
-    if isinstance(path_or_records, (str, bytes)) or hasattr(path_or_records, "read"):
-        if hasattr(path_or_records, "read"):
-            records = json.load(path_or_records)
-        else:
-            with open(path_or_records) as fh:
-                records = json.load(fh)
+    if isinstance(path_or_records, (str, bytes)):
+        with open(path_or_records) as fh:
+            records = json.load(fh)
     else:
         records = path_or_records
     if not isinstance(records, list):
         raise ValueError("polynomial file must hold a list of monomial records")
     monomials: dict = {}
-    for rec in records:
-        kstar, k = int(rec["kstar"]), int(rec["k"])
+    for n, rec in enumerate(records):
+        where = f"record {n}"
+        _require(isinstance(rec, dict), where, "need an object")
+        for key in ("kstar", "k"):
+            _require(_is_index(rec.get(key)), where, f"'{key}' needs a nonnegative integer")
+        kstar, k = rec["kstar"], rec["k"]
+        entries = rec.get("entries", [])
+        _require(isinstance(entries, list), where, "'entries' needs a list")
         t = np.zeros((space.dim,) * (kstar + k), dtype=complex)
-        for ent in rec.get("entries", []):
-            idx_star = tuple(int(i) for i in ent.get("multi_index_star", []))
-            idx = tuple(int(i) for i in ent.get("multi_index", []))
-            if len(idx_star) != kstar or len(idx) != k:
-                raise ValueError(
-                    f"entry index lengths {len(idx_star)},{len(idx)} do not match "
-                    f"bidegree ({kstar},{k})")
-            t[idx_star + idx] += float(ent.get("re", 0.0)) + 1j * float(ent.get("im", 0.0))
+        for m, ent in enumerate(entries):
+            at = f"{where} entry {m}"
+            _require(isinstance(ent, dict), at, "need an object")
+            idx = []
+            for key, length in (("multi_index_star", kstar), ("multi_index", k)):
+                part = ent.get(key, [])
+                _require(isinstance(part, list) and len(part) == length
+                         and all(_is_index(i, space.dim) for i in part), at,
+                         f"'{key}' needs {length} indices in [0, {space.dim})")
+                idx += part
+            for key in ("re", "im"):
+                v = ent.get(key, 0.0)
+                _require(type(v) in (int, float) and math.isfinite(v), at,
+                         f"'{key}' needs a finite real number")
+            t[tuple(idx)] += float(ent.get("re", 0.0)) + 1j * float(ent.get("im", 0.0))
         t = tp.symmetrize(t, kstar, k, leading_axes=0)
         tp.add_into(monomials, (kstar, k), t)
     return PolynomialP(space, monomials)

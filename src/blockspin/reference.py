@@ -21,13 +21,13 @@ def scalar_reference_data(b: float = 1.0) -> RGData:
                   q_minus=one, q=one, b=b, fq=one, d=one)
 
 
-def scalar_reference_spec(g: float = 0.0, b: float = 1.0):
+def scalar_reference_spec(g: float = 0.0):
     """ActionSpec for the scalar reference model; imported lazily to keep
     this module free of the action machinery for kernel-only callers."""
     from .action import ActionSpec, make_action_spec
     from .poly import PolynomialP
 
-    data = scalar_reference_data(b)
+    data = scalar_reference_data()
     if g == 0.0:
         p = PolynomialP.zero(data.space_minus)
     else:

@@ -26,7 +26,6 @@ from . import tensorpoly as tp
 from .action import ActionSpec, effective_action, grad_base_action
 from .errors import ConvergenceError
 from .linalg import (
-    DEFAULT_COND_LIMIT,
     FieldVector,
     SpaceSpec,
     components,
@@ -95,7 +94,7 @@ def _critical_system(spec: ActionSpec, background: SeriesPair) -> _GradedSystem:
 
 
 def _paired_block_solve(block: np.ndarray, k_star: np.ndarray, k_unstar: np.ndarray,
-                        assumption: str, cond_limit: float):
+                        assumption: str):
     """Solve the 2x2 block system coupling a starred/unstarred tensor pair.
 
     The tensors share their trailing shape; the block matrix acts on the
@@ -104,12 +103,11 @@ def _paired_block_solve(block: np.ndarray, k_star: np.ndarray, k_unstar: np.ndar
     dim = k_star.shape[0]
     rest = k_star.shape[1:]
     rhs = np.concatenate([k_star.reshape(dim, -1), k_unstar.reshape(dim, -1)], axis=0)
-    sol = gated_solve(block, rhs, assumption, cond_limit)
+    sol = gated_solve(block, rhs, assumption)
     return sol[:dim].reshape((dim,) + rest), sol[dim:].reshape((dim,) + rest)
 
 
-def _graded_solve(eq: _GradedSystem, max_order: int, assumption: str,
-                  cond_limit: float) -> SeriesPair:
+def _graded_solve(eq: _GradedSystem, max_order: int, assumption: str) -> SeriesPair:
     """Solve a field equation one total degree at a time.
 
     The degree-one parts of the outer maps fold into the 2x2 block; the
@@ -145,34 +143,30 @@ def _graded_solve(eq: _GradedSystem, max_order: int, assumption: str,
         for key in sorted(set(rhs_star) | set(rhs_unstar)):
             empty = np.zeros((dim,) + (in_dim,) * (key[0] + key[1]), dtype=complex)
             coeffs_star[key], coeffs_unstar[key] = _paired_block_solve(
-                block, rhs_star.get(key, empty), rhs_unstar.get(key, empty),
-                assumption, cond_limit)
+                block, rhs_star.get(key, empty), rhs_unstar.get(key, empty), assumption)
     return SeriesPair(FormalSeries(eq.input_space, eq.target_space, max_order, coeffs_star),
                       FormalSeries(eq.input_space, eq.target_space, max_order, coeffs_unstar))
 
 
-def fps_background(spec: ActionSpec, max_order: int = 4,
-                   cond_limit: float = DEFAULT_COND_LIMIT) -> SeriesPair:
+def fps_background(spec: ActionSpec, max_order: int = 4) -> SeriesPair:
     """Background pair as a series in the middle sources (psi_star, psi)."""
     return _graded_solve(_background_system(spec), max_order,
-                         "1 + s^(*) P' (degree-two interaction coupling)", cond_limit)
+                         "1 + s^(*) P' (degree-two interaction coupling)")
 
 
-def fps_nextscale(spec: ActionSpec, max_order: int = 4,
-                  cond_limit: float = DEFAULT_COND_LIMIT) -> SeriesPair:
+def fps_nextscale(spec: ActionSpec, max_order: int = 4) -> SeriesPair:
     """Next-scale background pair as a series in the coarse sources."""
     return _graded_solve(_nextscale_system(spec), max_order,
-                         "1 + scheck^(*) P' (degree-two interaction coupling)", cond_limit)
+                         "1 + scheck^(*) P' (degree-two interaction coupling)")
 
 
 def fps_critical(spec: ActionSpec, background: SeriesPair | None = None,
-                 max_order: int = 4,
-                 cond_limit: float = DEFAULT_COND_LIMIT) -> SeriesPair:
+                 max_order: int = 4) -> SeriesPair:
     """Critical middle pair as a series in the coarse sources (theta_star, theta)."""
     if background is None:
-        background = fps_background(spec, max_order, cond_limit)
+        background = fps_background(spec, max_order)
     return _graded_solve(_critical_system(spec, background), max_order,
-                         "b q*q + fq - fq qm L (linearized critical system)", cond_limit)
+                         "b q*q + fq - fq qm L (linearized critical system)")
 
 
 def compose_cp(background: SeriesPair, critical: SeriesPair, max_order: int = 4) -> SeriesPair:
@@ -181,14 +175,13 @@ def compose_cp(background: SeriesPair, critical: SeriesPair, max_order: int = 4)
     return compose_pair(background, critical, max_order)
 
 
-def verify_composition(spec: ActionSpec, max_order: int = 4,
-                       cond_limit: float = DEFAULT_COND_LIMIT) -> dict:
+def verify_composition(spec: ActionSpec, max_order: int = 4) -> dict:
     """Coefficientwise comparison of the composed and directly solved
     next-scale background series."""
-    bg = fps_background(spec, max_order, cond_limit)
-    cr = fps_critical(spec, bg, max_order, cond_limit)
+    bg = fps_background(spec, max_order)
+    cr = fps_critical(spec, bg, max_order)
     cp = compose_cp(bg, cr, max_order)
-    ns = fps_nextscale(spec, max_order, cond_limit)
+    ns = fps_nextscale(spec, max_order)
     res_star = series_difference_norms(cp.starred, ns.starred)
     res_unstar = series_difference_norms(cp.unstarred, ns.unstarred)
     worst = max([*res_star.values(), *res_unstar.values()], default=0.0)
@@ -199,17 +192,15 @@ def verify_composition(spec: ActionSpec, max_order: int = 4,
     }
 
 
-def verify_crit_representation(spec: ActionSpec, max_order: int = 4,
-                               cond_limit: float = DEFAULT_COND_LIMIT) -> dict:
+def verify_crit_representation(spec: ActionSpec, max_order: int = 4) -> dict:
     """Check that the critical series satisfies its closed representation:
     psi_(*)cr = (b q*q + fq)^{-1} (b q* theta_(*) + fq qm phicheck_(*)cp),
     and that its degree-one block is the covariance form b cov^(*) q*."""
-    bg = fps_background(spec, max_order, cond_limit)
-    cr = fps_critical(spec, bg, max_order, cond_limit)
+    bg = fps_background(spec, max_order)
+    cr = fps_critical(spec, bg, max_order)
     cp = compose_cp(bg, cr, max_order)
     m = spec.mats
-    lhs_inv = gated_solve(m["crit_lhs"], np.eye(spec.rg.space_mid.dim),
-                          "b q*q + fq", cond_limit)
+    lhs_inv = gated_solve(m["crit_lhs"], np.eye(spec.rg.space_mid.dim), "b q*q + fq")
     drive = spec.rg.b * lhs_inv @ m["qs"]
     rhs_star = tp.apply_matrix(lhs_inv @ m["fq_qm"], cp.starred.coeffs)
     rhs_unstar = tp.apply_matrix(lhs_inv @ m["fq_qm"], cp.unstarred.coeffs)
@@ -262,7 +253,7 @@ def _background_jacobian(spec: ActionSpec, fs: np.ndarray, fu: np.ndarray) -> np
 
 
 def _damped_newton(residual, jacobian, z0: np.ndarray, tol: float, max_iter: int,
-                   what: str, cond_limit: float) -> np.ndarray:
+                   what: str) -> np.ndarray:
     """Newton iteration with step halving; residual is measured sup-norm."""
     z = z0.copy()
     r = residual(z)
@@ -270,7 +261,7 @@ def _damped_newton(residual, jacobian, z0: np.ndarray, tol: float, max_iter: int
     for _ in range(max_iter):
         if best <= tol:
             return z
-        step = gated_solve(jacobian(z), -r, f"{what} jacobian", cond_limit)
+        step = gated_solve(jacobian(z), -r, f"{what} jacobian")
         scale = 1.0
         for _ in range(20):
             z_try = z + scale * step
@@ -291,8 +282,7 @@ def _damped_newton(residual, jacobian, z0: np.ndarray, tol: float, max_iter: int
 
 
 def newton_background(spec: ActionSpec, psi_star, psi, tol: float = 1e-12,
-                      max_iter: int = 50, cond_limit: float = DEFAULT_COND_LIMIT
-                      ) -> tuple[FieldVector, FieldVector]:
+                      max_iter: int = 50) -> tuple[FieldVector, FieldVector]:
     """Solve the background equations at one middle-source point.
 
     Starts from the linear-response solution, which is already exact for a
@@ -311,28 +301,25 @@ def newton_background(spec: ActionSpec, psi_star, psi, tol: float = 1e-12,
     def jacobian(z):
         return _background_jacobian(spec, z[:dm], z[dm:])
 
-    z = _damped_newton(residual, jacobian, z0, tol, max_iter,
-                       "background solve", cond_limit)
+    z = _damped_newton(residual, jacobian, z0, tol, max_iter, "background solve")
     return FieldVector(sm, z[:dm]), FieldVector(sm, z[dm:])
 
 
-def critical_residual(spec: ActionSpec, psi_star, psi, theta_star, theta,
-                      tol: float = 1e-13, cond_limit: float = DEFAULT_COND_LIMIT
+def critical_residual(spec: ActionSpec, psi_star, psi, theta_star, theta
                       ) -> tuple[FieldVector, FieldVector]:
-    """Residual of the critical equations; solves the inner background."""
+    """Residual of the critical equations; solves the inner background to 1e-13."""
     smid = spec.rg.space_mid
     r_star, r_unstar, _ = _critical_residual_and_background(
-        spec, psi_star, psi, theta_star, theta, tol, cond_limit)
+        spec, psi_star, psi, theta_star, theta, 1e-13)
     return FieldVector(smid, r_star), FieldVector(smid, r_unstar)
 
 
-def _critical_residual_and_background(spec, psi_star, psi, theta_star, theta, tol,
-                                      cond_limit):
+def _critical_residual_and_background(spec, psi_star, psi, theta_star, theta, tol):
     """The critical residual pair, plus the inner background solution it used."""
     m = spec.mats
     b = spec.rg.b
     ps, pu = components(psi_star), components(psi)
-    phi_star, phi = newton_background(spec, ps, pu, tol=tol, cond_limit=cond_limit)
+    phi_star, phi = newton_background(spec, ps, pu, tol=tol)
     r_star = (m["crit_lhs"] @ ps - b * m["qs"] @ components(theta_star)
               - m["fq_qm"] @ phi_star.components)
     r_unstar = (m["crit_lhs"] @ pu - b * m["qs"] @ components(theta)
@@ -340,8 +327,7 @@ def _critical_residual_and_background(spec, psi_star, psi, theta_star, theta, to
     return r_star, r_unstar, (phi_star, phi)
 
 
-def newton_critical(spec: ActionSpec, theta_star, theta, tol: float = 1e-12,
-                    max_iter: int = 50, cond_limit: float = DEFAULT_COND_LIMIT
+def newton_critical(spec: ActionSpec, theta_star, theta, tol: float = 1e-12
                     ) -> tuple[FieldVector, FieldVector]:
     """Solve the critical equations at one coarse-source point.
 
@@ -362,7 +348,7 @@ def newton_critical(spec: ActionSpec, theta_star, theta, tol: float = 1e-12,
 
     def residual(z):
         r_star, r_unstar, bg = _critical_residual_and_background(
-            spec, z[:d], z[d:], ts, tu, inner_tol, cond_limit)
+            spec, z[:d], z[d:], ts, tu, inner_tol)
         inner.clear()
         inner[z.tobytes()] = bg
         return np.concatenate([r_star, r_unstar])
@@ -373,7 +359,7 @@ def newton_critical(spec: ActionSpec, theta_star, theta, tol: float = 1e-12,
         src = np.zeros((2 * dm, 2 * d), dtype=complex)
         src[:dm, :d] = m["qms_fq"]
         src[dm:, d:] = m["qms_fq"]
-        dphi_dpsi = gated_solve(j_bg, src, "background jacobian", cond_limit)
+        dphi_dpsi = gated_solve(j_bg, src, "background jacobian")
         jac = np.zeros((2 * d, 2 * d), dtype=complex)
         jac[:d, :d] = m["crit_lhs"]
         jac[d:, d:] = m["crit_lhs"]
@@ -381,8 +367,7 @@ def newton_critical(spec: ActionSpec, theta_star, theta, tol: float = 1e-12,
         jac[d:, :] -= m["fq_qm"] @ dphi_dpsi[dm:, :]
         return jac
 
-    z = _damped_newton(residual, jacobian, z0, tol, max_iter,
-                       "critical solve", cond_limit)
+    z = _damped_newton(residual, jacobian, z0, tol, 50, "critical solve")
     return FieldVector(smid, z[:d]), FieldVector(smid, z[d:])
 
 
@@ -391,22 +376,19 @@ def newton_critical(spec: ActionSpec, theta_star, theta, tol: float = 1e-12,
 
 
 def delta_phi_variants(spec: ActionSpec, theta_star, theta, dpsi_star, dpsi,
-                       tol: float = 1e-13, cond_limit: float = DEFAULT_COND_LIMIT,
-                       _base: tuple | None = None):
+                       tol: float = 1e-13):
     """The two increment fields induced by a middle-field fluctuation.
 
     Returns (d_bg_star, d_bg, d_plus_star, d_plus): the raw background
     increments between the shifted and critical points, and the same with
     the linear response to the fluctuation removed.
     """
-    if _base is None:
-        _base = _critical_base(spec, theta_star, theta, tol, cond_limit)
-    psi_star_cr, psi_cr, phi_star_base, phi_base = _base
+    psi_star_cr, psi_cr, phi_star_base, phi_base = _critical_base(spec, theta_star, theta, tol)
     m = spec.mats
     sm = spec.rg.space_minus
     shift_star, shift = newton_background(
         spec, psi_star_cr + components(dpsi_star), psi_cr + components(dpsi),
-        tol=tol, cond_limit=cond_limit)
+        tol=tol)
     d_bg_star = FieldVector(sm, shift_star.components - phi_star_base)
     d_bg = FieldVector(sm, shift.components - phi_base)
     lin_star = m["s_star"] @ m["qms_fq"] @ components(dpsi_star)
@@ -416,26 +398,22 @@ def delta_phi_variants(spec: ActionSpec, theta_star, theta, dpsi_star, dpsi,
     return d_bg_star, d_bg, d_plus_star, d_plus
 
 
-def _critical_base(spec, theta_star, theta, tol, cond_limit):
-    psi_star_cr, psi_cr = newton_critical(spec, theta_star, theta,
-                                          tol=tol, cond_limit=cond_limit)
-    phi_star_base, phi_base = newton_background(spec, psi_star_cr, psi_cr,
-                                                tol=tol, cond_limit=cond_limit)
+def _critical_base(spec, theta_star, theta, tol):
+    psi_star_cr, psi_cr = newton_critical(spec, theta_star, theta, tol=tol)
+    phi_star_base, phi_base = newton_background(spec, psi_star_cr, psi_cr, tol=tol)
     return (psi_star_cr.components, psi_cr.components,
             phi_star_base.components, phi_base.components)
 
 
 def delta_a_direct(spec: ActionSpec, theta_star, theta, dpsi_star, dpsi,
-                   tol: float = 1e-13, cond_limit: float = DEFAULT_COND_LIMIT,
-                   _base: tuple | None = None) -> complex:
+                   tol: float = 1e-13, _base: tuple | None = None) -> complex:
     """Action increment by direct evaluation at shifted and critical fields."""
     if _base is None:
-        _base = _critical_base(spec, theta_star, theta, tol, cond_limit)
+        _base = _critical_base(spec, theta_star, theta, tol)
     psi_star_cr, psi_cr, phi_star_base, phi_base = _base
     ps = psi_star_cr + components(dpsi_star)
     pu = psi_cr + components(dpsi)
-    phi_star_shift, phi_shift = newton_background(spec, ps, pu, tol=tol,
-                                                  cond_limit=cond_limit)
+    phi_star_shift, phi_shift = newton_background(spec, ps, pu, tol=tol)
     shifted = effective_action(spec, theta_star, theta, ps, pu,
                                phi_star_shift, phi_shift)
     base = effective_action(spec, theta_star, theta, psi_star_cr, psi_cr,
@@ -444,8 +422,7 @@ def delta_a_direct(spec: ActionSpec, theta_star, theta, dpsi_star, dpsi,
 
 
 def delta_phi_plus_series(spec: ActionSpec, theta_star, theta, max_degree: int = 4,
-                          tol: float = 1e-13, cond_limit: float = DEFAULT_COND_LIMIT,
-                          _base: tuple | None = None) -> SeriesPair:
+                          tol: float = 1e-13, _base: tuple | None = None) -> SeriesPair:
     """Truncated series of the nonlinear background increment around the
     critical point.
 
@@ -457,7 +434,7 @@ def delta_phi_plus_series(spec: ActionSpec, theta_star, theta, max_degree: int =
     formula needs.
     """
     if _base is None:
-        _base = _critical_base(spec, theta_star, theta, tol, cond_limit)
+        _base = _critical_base(spec, theta_star, theta, tol)
     _, _, phi_star_base, phi_base = _base
     gu = tp.shift_map(spec.p.grad_unstar_coeffs(), phi_star_base, phi_base)
     gs = tp.shift_map(spec.p.grad_star_coeffs(), phi_star_base, phi_base)
@@ -466,8 +443,7 @@ def delta_phi_plus_series(spec: ActionSpec, theta_star, theta, max_degree: int =
     eq = _background_system(spec, gu, gs)
     pair = _graded_solve(
         eq, max_degree,
-        "1 + s^(*) (re-centered interaction) (degree-two interaction coupling)",
-        cond_limit)
+        "1 + s^(*) (re-centered interaction) (degree-two interaction coupling)")
     coeffs_star = dict(pair.starred.coeffs)
     coeffs_unstar = dict(pair.unstarred.coeffs)
     tp.add_into(coeffs_star, (1, 0), -eq.drive_star)
@@ -479,7 +455,6 @@ def delta_phi_plus_series(spec: ActionSpec, theta_star, theta, max_degree: int =
 def delta_a_formula(spec: ActionSpec, theta_star, theta, dpsi_star, dpsi,
                     max_degree: int = 4, nodes: int | None = None,
                     increment_plus=None, tol: float = 1e-13,
-                    cond_limit: float = DEFAULT_COND_LIMIT,
                     _base: tuple | None = None) -> complex:
     """Action increment through the quadratic-plus-line-integral identity:
 
@@ -505,8 +480,7 @@ def delta_a_formula(spec: ActionSpec, theta_star, theta, dpsi_star, dpsi,
 
     if increment_plus is None:
         increment_plus = delta_phi_plus_series(spec, theta_star, theta, max_degree,
-                                               tol=tol, cond_limit=cond_limit,
-                                               _base=_base)
+                                               tol=tol, _base=_base)
     if isinstance(increment_plus, SeriesPair):
         series = increment_plus
 

@@ -8,6 +8,7 @@ worker is not imported.
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 WORKER = Path(__file__).resolve().parent.parent / "perfbench" / "worker.py"
@@ -28,6 +29,14 @@ def test_every_traced_function_exists():
                if not callable(getattr(importlib.import_module(f"blockspin.{module}"),
                                        name, None))]
     assert missing == []
+
+
+def test_solve_lattice_tolerance_default_exists():
+    # the solve-lattice workload reads its residual bound from this default
+    from blockspin import solvers
+
+    tol = inspect.signature(solvers.newton_critical).parameters["tol"].default
+    assert isinstance(tol, float)
 
 
 def test_quadrature_node_counter_hook_exists():

@@ -167,6 +167,45 @@ def test_kernels_exit_2_on_bad_input(tmp_path):
         assert "Traceback" not in out.stderr
 
 
+def test_verify_exit_2_on_nondivisible_lattice(tmp_path):
+    cfg = write_config(tmp_path, lattice={"extents": [6], "block": [4]})
+    out = run_cli("verify", "--config", str(cfg), "--suite", "lattice")
+    assert out.returncode == 2
+    assert "'lattice'" in out.stderr and "not divisible" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+BAD_RECORDS = [
+    ([{"kstar": 1}], "record 0: 'k'"),
+    ([{"kstar": True, "k": 2}], "record 0: 'kstar'"),
+    ([{"kstar": 1, "k": 2.5}], "record 0: 'k'"),
+    ([{"kstar": 1, "k": 2, "entries": {}}], "record 0: 'entries'"),
+    ([{"kstar": 1, "k": 2, "entries": [
+        {"multi_index_star": [5], "multi_index": [0, 0], "re": 0.1}]}],
+     "record 0 entry 0: 'multi_index_star'"),
+    ([{"kstar": 1, "k": 2, "entries": [
+        {"multi_index_star": [0], "multi_index": [0], "re": 0.1}]}],
+     "record 0 entry 0: 'multi_index'"),
+    ([{"kstar": 1, "k": 2, "entries": []},
+      {"kstar": 0, "k": 3, "entries": [
+          {"multi_index": [0, 0, 0], "re": float("nan")}]}],
+     "record 1 entry 0: 're'"),
+    ([{"kstar": 1, "k": 2, "entries": [
+        {"multi_index_star": [0], "multi_index": [0, 0], "im": float("inf")}]}],
+     "record 0 entry 0: 'im'"),
+]
+
+
+def test_kernels_exit_2_on_bad_polynomial_records(tmp_path):
+    for records, where in BAD_RECORDS:
+        (tmp_path / "p.json").write_text(json.dumps(records))
+        cfg = write_config(tmp_path, dims=[1, 1, 1], polynomial="p.json")
+        out = run_cli("kernels", "--config", str(cfg))
+        assert out.returncode == 2, records
+        assert "'polynomial'" in out.stderr and where in out.stderr, out.stderr
+        assert "Traceback" not in out.stderr
+
+
 def test_unknown_format_is_usage_error(tmp_path):
     cfg = write_config(tmp_path)
     out = run_cli("verify", "--config", str(cfg), "--format", "yaml")

@@ -222,9 +222,19 @@ def test_lattice_scenario_builds_tower_step():
 
 
 def test_lattice_rejects_nondivisible_block():
-    cfg = cfg_from(lattice={"extents": [6], "block": [4]})
     with pytest.raises(ConfigError, match="'lattice'"):
-        scenario_data(cfg)
+        scenario_data(cfg_from(lattice={"extents": [6], "block": [4]}))
+
+
+@pytest.mark.parametrize("lattice, detail", [
+    ({"extents": [6], "block": [4]}, "not divisible by block 4 at tower step 1"),
+    ({"extents": [8], "block": [4]}, "not divisible by block 4 at tower step 2"),
+    ({"extents": [8, 8], "block": [2]}, "block rank 1 does not match lattice rank 2"),
+], ids=["step-1", "step-2", "rank"])
+def test_config_checks_both_tower_steps(lattice, detail):
+    with pytest.raises(ConfigError, match="'lattice'") as err:
+        ScenarioConfig.from_dict({"seed": 1, "lattice": lattice})
+    assert detail in str(err.value)
 
 
 def test_polynomial_file_is_relative_to_config(tmp_path):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blockspin import linalg
 from blockspin.errors import NearSingularError, SpaceMismatchError
 from blockspin.linalg import (
     FieldVector,
@@ -114,6 +115,18 @@ def test_solve_gate_names_assumption():
         solve(a, FieldVector(s, np.ones(2)), assumption="test matrix")
     assert "test matrix" in str(err.value)
     assert err.value.cond > 1e8
+
+
+def test_gate_limit_is_fixed_at_1e8():
+    assert linalg.COND_LIMIT == 1e8
+    # cond 5e7 passes the gate
+    x = linalg.gated_solve(np.diag([1.0, 2e-8]), np.ones(2))
+    assert np.allclose(x, [1.0, 5e7])
+    # cond 2e8 does not
+    with pytest.raises(NearSingularError) as err:
+        linalg.gated_solve(np.diag([1.0, 5e-9]), np.ones(2))
+    assert err.value.limit == linalg.COND_LIMIT == 1e8
+    assert err.value.cond == pytest.approx(2e8)
 
 
 def test_cond_of_diagonal():

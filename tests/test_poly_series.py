@@ -112,6 +112,24 @@ def test_poly_file_roundtrip(tmp_path):
         assert np.allclose(p.monomials[key], p2.monomials[key], atol=1e-15)
 
 
+@pytest.mark.parametrize("records, message", [
+    (["x"], "record 0: need an object"),
+    ([{"k": 2}], "record 0: 'kstar' needs a nonnegative integer"),
+    ([{"kstar": -1, "k": 3}], "record 0: 'kstar' needs a nonnegative integer"),
+    ([{"kstar": 1, "k": 2, "entries": ["x"]}], "record 0 entry 0: need an object"),
+    ([{"kstar": 1, "k": 2, "entries": [{"multi_index_star": [0], "multi_index": [0, -1]}]}],
+     "record 0 entry 0: 'multi_index' needs 2 indices in [0, 2)"),
+    ([{"kstar": 1, "k": 2, "entries": [{"multi_index_star": [0], "multi_index": [0, 0],
+                                        "im": "1"}]}],
+     "record 0 entry 0: 'im' needs a finite real number"),
+], ids=["record-not-object", "missing-kstar", "negative-kstar", "entry-not-object",
+        "index-out-of-range", "string-im"])
+def test_load_polynomial_names_the_bad_record(records, message):
+    with pytest.raises(ValueError) as err:
+        load_polynomial(records, SpaceSpec(2))
+    assert str(err.value) == f"polynomial {message}"
+
+
 def test_series_evaluate_scalar():
     space = SpaceSpec(1)
     s = FormalSeries(space, space, 3, {
