@@ -23,7 +23,7 @@ from .kernels import (KernelSet, RGData, build_kernels, delta_cov, greens,
                       qcheck_recursion, starred_kernels)
 from .poly import PolynomialP, dump_polynomial, load_polynomial
 from .series import FormalSeries, SeriesPair, compose_pair
-from .action import (ActionSpec, base_action, delta_e, effective_action,
+from .action import (ActionSpec, base_action, effective_action,
                      full_action, grad_base_action, grad_effective_action,
                      grad_full_action, grad_next_action, make_action_spec,
                      next_action, preparation_check, psi_tilde)

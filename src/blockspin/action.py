@@ -21,12 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import tensorpoly as tp
-from .errors import BlockspinError
 from .kernels import KernelSet, RGData, build_kernels, starred_kernels
 from .linalg import (
     FieldVector,
-    Operator,
     adjoint,
     components,
     gated_solve,
@@ -225,12 +222,3 @@ def preparation_check(spec: ActionSpec, theta_star, theta, phi_star, phi
         scale = max(scale, float(np.linalg.norm(lhs_g)))
     return value_residual, res / scale
 
-
-def delta_e(e_callback, psi_star_base, psi_base, dpsi_star, dpsi) -> complex:
-    """Increment of an opaque extra term between shifted and base fields."""
-    if e_callback is None:
-        return 0.0 + 0.0j
-    shifted = e_callback(components(psi_star_base) + components(dpsi_star),
-                         components(psi_base) + components(dpsi))
-    base = e_callback(components(psi_star_base), components(psi_base))
-    return complex(shifted) - complex(base)

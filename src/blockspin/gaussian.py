@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .action import ActionSpec, delta_e
+from .action import ActionSpec
 from .errors import BlockspinError, ConvergenceError, QuadratureError
 from .kernels import RGData, build_kernels, next_scale_delta
 from .linalg import FieldVector, Operator, components, gated_solve
@@ -367,9 +367,8 @@ def prop_d_quadrature_check(spec: ActionSpec, radii, nodes_per_axis: int = 64,
 
 def fluctuation_integral(spec: ActionSpec, theta_star, theta,
                          radius: float | None = None, nodes_per_axis: int = 48,
-                         increment: str = "direct", max_degree: int = 6,
-                         e_callback=None) -> complex:
-    """F(theta*, theta) = int exp(-delta_a + delta_e) dmu over the domain of
+                         increment: str = "direct") -> complex:
+    """F(theta*, theta) = int exp(-delta_a) dmu over the domain of
     fluctuations around the critical point.
 
     radius None is the exact whole-space mode, available only for P = 0:
@@ -378,7 +377,7 @@ def fluctuation_integral(spec: ActionSpec, theta_star, theta,
     conjugate slice psi = u, psi* = conj(u) of the disc |u| <= radius;
     ``increment`` picks the evaluator, "direct" (re-solve the background
     at every node) or "formula" (line-integral identity on the truncated
-    increment series of degree ``max_degree``).
+    increment series of degree 6).
     """
     if radius is None:
         if not spec.p.is_zero:
@@ -402,7 +401,7 @@ def fluctuation_integral(spec: ActionSpec, theta_star, theta,
     psi_star_cr, psi_cr = base[0], base[1]
     series = None
     if increment == "formula":
-        series = delta_phi_plus_series(spec, ts, tu, max_degree, tol=tol, _base=base)
+        series = delta_phi_plus_series(spec, ts, tu, 6, tol=tol, _base=base)
     u, w_u = _polar_grid(0.0, float(radius), int(nodes_per_axis), int(nodes_per_axis))
     terms = np.empty(u.size, dtype=complex)
     for i in range(u.size):
@@ -411,9 +410,7 @@ def fluctuation_integral(spec: ActionSpec, theta_star, theta,
         if increment == "direct":
             da = delta_a_direct(spec, ts, tu, dpsi_star, dpsi, tol=tol, _base=base)
         else:
-            da = delta_a_formula(spec, ts, tu, dpsi_star, dpsi, max_degree,
+            da = delta_a_formula(spec, ts, tu, dpsi_star, dpsi, 6,
                                  increment_plus=series, tol=tol, _base=base)
-        de = (delta_e(e_callback, psi_star_cr, psi_cr, dpsi_star, dpsi)
-              if e_callback is not None else 0.0)
-        terms[i] = w_u[i] * np.exp(-da + de)
+        terms[i] = w_u[i] * np.exp(-da)
     return complex(np.sum(terms))

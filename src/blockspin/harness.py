@@ -93,8 +93,8 @@ def _positive(x) -> bool:
 
 
 def _list_of(x, ok, n: int | None = None) -> bool:
-    """A list (of n items, if given) whose items all satisfy ``ok``."""
-    return isinstance(x, list) and (n is None or len(x) == n) and all(map(ok, x))
+    """A list or tuple (of n items, if given) whose items all satisfy ``ok``."""
+    return isinstance(x, (list, tuple)) and (n is None or len(x) == n) and all(map(ok, x))
 
 
 def _need(ok, field: str, what: str, kind: str = "config") -> None:
@@ -141,18 +141,14 @@ def _read_json(path, what: str, prefix: str = ""):
         raise ConfigError(f"{prefix}{what}'{path}' is not valid json: {exc}") from exc
 
 
-def _check_suites(names, where: str = "") -> tuple[str, ...]:
-    for s in names:
-        if s not in SUITE_NAMES:
-            raise ConfigError(f"{where}unknown suite '{s}' "
-                              f"(known: {', '.join(SUITE_NAMES)})")
-    return tuple(names)
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """A scenario.  Every way of building one (direct, ``from_dict``,
+    ``from_file``, ``with_suites``, ``replace``) runs the checks and the
+    normalization in ``__post_init__``; a bad field raises ConfigError."""
+
     seed: int
-    suites: tuple[str, ...]
+    suites: tuple[str, ...] = SUITE_NAMES
     dims: tuple[int, int, int] | None = None
     lattice: dict | None = None
     grams: str = "identity"
@@ -166,32 +162,24 @@ class ScenarioConfig:
     quadrature: dict = field(default_factory=dict)
     base_dir: Path = field(default_factory=Path)
 
-    @classmethod
-    def from_dict(cls, raw: dict, base_dir: str | Path = ".") -> "ScenarioConfig":
-        if not isinstance(raw, dict):
-            raise ConfigError("config must be a json object")
-        known = {f.name for f in fields(cls)} - {"base_dir"}
-        for key in raw:
-            if key not in known:
-                raise ConfigError(f"unknown config field '{key}'")
+    def __post_init__(self):
+        _need(_int_in(self.seed, 0, 2 ** 64 - 1), "seed", "need an integer in [0, 2^64)")
 
-        seed = raw.get("seed")
-        _need(_int_in(seed, 0, 2 ** 64 - 1), "seed", "need an integer in [0, 2^64)")
-
-        suites = raw.get("suites", list(SUITE_NAMES))
-        _need(_list_of(suites, lambda s: isinstance(s, str)), "suites",
+        _need(_list_of(self.suites, lambda s: isinstance(s, str)), "suites",
               "need a list of suite names")
-        _check_suites(suites, "config field 'suites': ")
+        for s in self.suites:
+            _need(s in SUITE_NAMES, "suites",
+                  f"unknown suite '{s}' (known: {', '.join(SUITE_NAMES)})")
+        object.__setattr__(self, "suites", tuple(self.suites))
 
-        dims = raw.get("dims")
-        if dims is not None:
-            _need(_list_of(dims, lambda d: _int_in(d, 1), 3), "dims",
+        if self.dims is not None:
+            _need(_list_of(self.dims, lambda d: _int_in(d, 1), 3), "dims",
                   "need three positive integers")
-            dims = tuple(dims)
+            object.__setattr__(self, "dims", tuple(self.dims))
 
-        lattice = raw.get("lattice")
+        lattice = self.lattice
         if lattice is not None:
-            _need(dims is None, "lattice", "give dims or lattice, not both")
+            _need(self.dims is None, "lattice", "give dims or lattice, not both")
             _need(isinstance(lattice, dict) and "extents" in lattice and "block" in lattice,
                   "lattice", "need an object with 'extents' and 'block' (optional 'profile')")
             _check_object(lattice, "lattice")
@@ -202,25 +190,22 @@ class ScenarioConfig:
             except ValueError as exc:
                 raise ConfigError(f"config field 'lattice': {exc}") from exc
 
-        grams = raw.get("grams", "identity")
-        _need(grams in ("identity", "random"), "grams", "need 'identity' or 'random'")
+        _need(self.grams in ("identity", "random"), "grams", "need 'identity' or 'random'")
 
-        b = raw.get("b", 1.0)
-        _need(_positive(b), "b", "need a positive number")
+        _need(_positive(self.b), "b", "need a positive number")
+        object.__setattr__(self, "b", float(self.b))
 
-        operators = raw.get("operators")
+        operators = self.operators
         if operators is not None:
             _need(lattice is None, "operators", "not allowed with a lattice scenario")
             _need(isinstance(operators, dict) and set(operators) == {"q_minus", "q", "fq", "d"},
                   "operators", "need exactly the matrices q_minus, q, fq, d")
-            _need(grams == "identity", "grams", "explicit operators require identity forms")
-            for name, entries in operators.items():
-                _entries(entries, name)
+            _need(self.grams == "identity", "grams", "explicit operators require identity forms")
+            _operator_step(operators, self.dims, self.b)
 
-        polynomial = raw.get("polynomial")
+        polynomial, interaction = self.polynomial, self.interaction
         _need(polynomial is None or isinstance(polynomial, str), "polynomial",
               "need a file path string")
-        interaction = raw.get("interaction")
         if interaction is not None:
             _need(polynomial is None, "interaction",
                   "give a polynomial file or an interaction ensemble, not both")
@@ -228,35 +213,38 @@ class ScenarioConfig:
                   and isinstance(interaction.get("bidegrees"), list), "interaction",
                   "need an object with 'bidegrees' (and optional 'scale')")
             _check_object(interaction, "interaction")
+        object.__setattr__(self, "base_dir", Path(self.base_dir))
         if polynomial is not None:
-            resolved = Path(base_dir) / polynomial
+            resolved = self.base_dir / polynomial
             _need(resolved.is_file(), "polynomial", f"file '{resolved}' does not exist")
 
-        max_order = raw.get("max_order", 4)
-        _need(_int_in(max_order, 1, 8), "max_order", "need an integer in [1, 8]")
+        _need(_int_in(self.max_order, 1, 8), "max_order", "need an integer in [1, 8]")
 
-        tolerances = raw.get("tolerances", {})
-        _check_object(tolerances, "tolerances", listed=True)
+        _check_object(self.tolerances, "tolerances", listed=True)
+        object.__setattr__(self, "tolerances", dict(self.tolerances))
 
-        radii = raw.get("radii", [1.0, 1.0])
-        _need(_list_of(radii, _positive, 2), "radii", "need two positive numbers")
+        _need(_list_of(self.radii, _positive, 2), "radii", "need two positive numbers")
+        object.__setattr__(self, "radii", (float(self.radii[0]), float(self.radii[1])))
 
-        quadrature = raw.get("quadrature", {})
-        _check_object(quadrature, "quadrature")
+        _check_object(self.quadrature, "quadrature")
+        object.__setattr__(self, "quadrature", dict(self.quadrature))
 
-        return cls(seed=seed, suites=tuple(suites), dims=dims, lattice=lattice,
-                   grams=grams, b=float(b), operators=operators,
-                   polynomial=polynomial, interaction=interaction,
-                   max_order=max_order, tolerances=dict(tolerances),
-                   radii=(float(radii[0]), float(radii[1])),
-                   quadrature=dict(quadrature), base_dir=Path(base_dir))
+    @classmethod
+    def from_dict(cls, raw: dict, base_dir: str | Path = ".") -> "ScenarioConfig":
+        if not isinstance(raw, dict):
+            raise ConfigError("config must be a json object")
+        known = {f.name for f in fields(cls)} - {"base_dir"}
+        for key in raw:
+            if key not in known:
+                raise ConfigError(f"unknown config field '{key}'")
+        return cls(**{"seed": None, **raw}, base_dir=base_dir)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ScenarioConfig":
         return cls.from_dict(_read_json(path, "config "), base_dir=Path(path).parent)
 
     def with_suites(self, names) -> "ScenarioConfig":
-        return replace(self, suites=_check_suites(names))
+        return replace(self, suites=names)
 
     def tolerance(self, key: str) -> float:
         return float(self.tolerances.get(key, TOLERANCES[key]))
@@ -290,6 +278,22 @@ def _entries(raw, name: str) -> np.ndarray:
     return np.array(raw, dtype=float)
 
 
+def _operator_step(operators: dict, dims, b: float) -> RGData:
+    """The step of an explicit operator table, cross-checked against ``dims``."""
+    qm, q, fq, d = (_entries(operators[k], k) for k in ("q_minus", "q", "fq", "d"))
+    dm, dmid, dp = qm.shape[1], qm.shape[0], q.shape[0]
+    if dims is not None and dims != (dm, dmid, dp):
+        raise ConfigError(f"config field 'dims': {list(dims)} does not match "
+                          f"the operator shapes ({dm}, {dmid}, {dp})")
+    sm, smid, sp = SpaceSpec(dm), SpaceSpec(dmid), SpaceSpec(dp)
+    try:
+        return RGData(space_minus=sm, space_mid=smid, space_plus=sp,
+                      q_minus=Operator(sm, smid, qm), q=Operator(smid, sp, q),
+                      b=b, fq=Operator(smid, smid, fq), d=Operator(sm, sm, d))
+    except (ValueError, BlockspinError) as exc:
+        raise ConfigError(f"config field 'operators': {exc}") from exc
+
+
 def _block_scheme(lattice: dict) -> BlockScheme:
     """The scenario's block scheme; BlockScheme's own rules check the profile."""
     profile = lattice.get("profile")
@@ -314,19 +318,7 @@ def scenario_data(cfg: ScenarioConfig) -> RGData:
                       q_minus=tower[1].step, q=tower[2].step,
                       b=cfg.b, fq=fq, d=d)
     if cfg.operators is not None:
-        qm, q, fq, d = (_entries(cfg.operators[k], k) for k in ("q_minus", "q", "fq", "d"))
-        dm, dmid, dp = qm.shape[1], qm.shape[0], q.shape[0]
-        if cfg.dims is not None and cfg.dims != (dm, dmid, dp):
-            raise ConfigError(f"config field 'dims': {list(cfg.dims)} does not match "
-                              f"the operator shapes ({dm}, {dmid}, {dp})")
-        sm, smid, sp = SpaceSpec(dm), SpaceSpec(dmid), SpaceSpec(dp)
-        try:
-            return RGData(space_minus=sm, space_mid=smid, space_plus=sp,
-                          q_minus=Operator(sm, smid, qm), q=Operator(smid, sp, q),
-                          b=cfg.b, fq=Operator(smid, smid, fq),
-                          d=Operator(sm, sm, d))
-        except (ValueError, BlockspinError) as exc:
-            raise ConfigError(f"config field 'operators': {exc}") from exc
+        return _operator_step(cfg.operators, cfg.dims, cfg.b)
     dims = cfg.dims if cfg.dims is not None else (3, 2, 1)
     return random_rg_data(stream(cfg.seed, "scenario"), dims, b=cfg.b,
                           identity_grams=(cfg.grams == "identity"))
@@ -680,13 +672,10 @@ def _suite_gaussian_quadrature(cfg: ScenarioConfig) -> SuiteResult:
     """Disc-quadrature form of the split; scenario data when it is a
     one-dimensional identity-form setup, the reference family otherwise."""
     tol = cfg.tolerance("gaussian-quadrature")
-    note = "reference family, g = 0.05"
-    spec = None
     if cfg.lattice is None and cfg.dims == (1, 1, 1) and cfg.grams == "identity":
-        spec = scenario_spec(cfg)
-        note = "scenario data"
-    if spec is None:
-        spec = scalar_reference_spec(g=0.05)
+        spec, note = scenario_spec(cfg), "scenario data"
+    else:
+        spec, note = scalar_reference_spec(g=0.05), "reference family, g = 0.05"
     quad = cfg.quadrature
     try:
         out = prop_d_quadrature_check(

@@ -163,13 +163,15 @@ def starred_kernels(data: RGData, kernels: KernelSet | None = None
                     ) -> tuple[Operator, Operator, Operator, Operator]:
     """(s*, scheck*, delta*, cov*): the kernels built from the adjoint of d.
 
-    These drive the starred field equations.  For symmetric d they equal
-    the unstarred kernels.  qcheck does not involve d, so the one in
-    ``kernels`` serves both.
+    These drive the starred field equations.  When adjoint(d) has the bits
+    of d, they are the unstarred kernels, returned as they are.  qcheck
+    does not involve d, so the one in ``kernels`` serves both.
     """
     if kernels is None:
         kernels = build_kernels(data)
     dstar = adjoint(data.d)
+    if dstar.entries.tobytes() == data.d.entries.tobytes():
+        return kernels.s, kernels.scheck, kernels.delta, kernels.cov
     data_star = RGData(data.space_minus, data.space_mid, data.space_plus,
                        data.q_minus, data.q, data.b, data.fq, dstar)
     s_star, scheck_star = greens(data_star, kernels.qcheck)

@@ -18,7 +18,7 @@ covers the fine sites Y*block + offset with offset in [0, block) per axis.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

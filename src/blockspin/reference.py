@@ -24,7 +24,7 @@ def scalar_reference_data(b: float = 1.0) -> RGData:
 def scalar_reference_spec(g: float = 0.0):
     """ActionSpec for the scalar reference model; imported lazily to keep
     this module free of the action machinery for kernel-only callers."""
-    from .action import ActionSpec, make_action_spec
+    from .action import make_action_spec
     from .poly import PolynomialP
 
     data = scalar_reference_data()

@@ -8,9 +8,6 @@ shows the verdicts as they happen.
 
 import time
 
-import numpy as np
-import pytest
-
 from blockspin.ensembles import stream
 from blockspin.gaussian import prop_d_gaussian_check, prop_d_quadrature_check
 from blockspin.harness import ScenarioConfig, emit_report, run_scenario

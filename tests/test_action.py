@@ -5,7 +5,6 @@ import pytest
 
 from blockspin.action import (
     base_action,
-    delta_e,
     effective_action,
     full_action,
     grad_base_action,
@@ -205,26 +204,3 @@ def test_preparation_at_origin_is_exact():
     assert value_res == 0.0
     assert grad_res == 0.0
 
-
-# ---------------------------------------------------------------------------
-# opaque extra term
-
-
-def test_delta_e_cases():
-    assert delta_e(None, np.ones(1), np.ones(1), np.ones(1), np.ones(1)) == 0.0
-
-    assert delta_e(lambda ps, pu: 3.25, np.ones(2), np.ones(2),
-                   np.ones(2), np.ones(2)) == 0.0
-
-    ell = np.array([0.5, -1.0])
-    def linear(ps, pu):
-        return ell @ ps + 2.0 * (ell @ pu)
-    dps = np.array([0.1, 0.2j])
-    dpu = np.array([-0.3, 0.05])
-    got = delta_e(linear, np.ones(2), np.ones(2), dps, dpu)
-    assert got == pytest.approx(ell @ dps + 2.0 * (ell @ dpu))
-
-    def quad(ps, pu):
-        return ps @ pu
-    got = delta_e(quad, np.ones(1), np.ones(1), 0.1 * np.ones(1), 0.1 * np.ones(1))
-    assert got == pytest.approx(0.21)

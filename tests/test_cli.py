@@ -175,6 +175,19 @@ def test_verify_exit_2_on_nondivisible_lattice(tmp_path):
     assert "Traceback" not in out.stderr
 
 
+def test_verify_exit_2_on_bad_operator_table(tmp_path):
+    ops = {"q_minus": [[1.0]], "q": [[1.0]], "fq": [[1.0]], "d": [[1.0]]}
+    for overrides, detail in (
+            ({"dims": [1, 1, 1], "operators": dict(ops, fq=[[-1.0]])},
+             "'operators': fq must be positive definite"),
+            ({"dims": [2, 1, 1], "operators": ops}, "'dims': [2, 1, 1] does not match")):
+        cfg = write_config(tmp_path, suites=["gaussian-quadrature"], **overrides)
+        out = run_cli("verify", "--config", str(cfg))
+        assert out.returncode == 2, out.stdout
+        assert detail in out.stderr
+        assert "Traceback" not in out.stderr
+
+
 BAD_RECORDS = [
     ([{"kstar": 1}], "record 0: 'k'"),
     ([{"kstar": True, "k": 2}], "record 0: 'kstar'"),

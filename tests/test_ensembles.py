@@ -1,7 +1,6 @@
 """Stream keying and the documented draw recipes."""
 
 import numpy as np
-import pytest
 
 from blockspin.ensembles import (
     random_field,
@@ -12,7 +11,7 @@ from blockspin.ensembles import (
     stream,
     unit_field,
 )
-from blockspin.linalg import SpaceSpec, adjoint, form_asymmetry
+from blockspin.linalg import SpaceSpec, form_asymmetry
 
 
 def test_stream_is_reproducible_per_label():

@@ -188,6 +188,73 @@ def test_from_file_reports_bad_json(tmp_path):
         ScenarioConfig.from_file(path)
 
 
+# every case rejected through from_dict above, with tuples where a direct
+# caller would pass them
+OPS = {"q_minus": [[1.0]], "q": [[1.0]], "fq": [[1.0]], "d": [[1.0]]}
+DIRECT_CASES = {
+    "seed": {"seed": -1},
+    "seed-bool": {"seed": True},
+    "seed-none": {"seed": None},
+    "suites": {"suites": ("woodbury", "bogus")},
+    "suites-string": {"suites": "woodbury"},
+    "dims": {"dims": (3, 2, 0)},
+    "dims-length": {"dims": (3, 2)},
+    "dims-and-lattice": {"dims": (3, 2, 1), "lattice": {"extents": [8], "block": [2]}},
+    "lattice-without-block": {"lattice": {"extents": [8]}},
+    "lattice-profile": {"lattice": {"extents": [4, 4], "block": [2, 2],
+                                    "profile": [0.5, 0.5, 0.5]}},
+    "lattice-unknown-entry": {"lattice": {"extents": [8], "block": [2], "profil": [0.5]}},
+    "lattice-step-1": {"suites": ("lattice",), "lattice": {"extents": [6], "block": [4]}},
+    "lattice-step-2": {"lattice": {"extents": [8], "block": [4]}},
+    "lattice-rank": {"lattice": {"extents": [8, 8], "block": [2]}},
+    "grams": {"grams": "fancy"},
+    "b": {"b": 0},
+    "b-infinite": {"b": float("inf")},
+    "operators-partial": {"operators": {"q": [[1.0]]}},
+    "operators-random-grams": {"grams": "random", "operators": OPS},
+    "operators-null-entry": {"dims": (1, 1, 1), "operators": dict(OPS, q_minus=[[None]])},
+    "operators-negative-fq": {"dims": (1, 1, 1), "operators": dict(OPS, fq=[[-1.0]])},
+    "operators-dims-mismatch": {"dims": (2, 1, 1), "operators": OPS},
+    "interaction-and-polynomial": {"polynomial": "p.json", "interaction": {"bidegrees": [[1, 2]]}},
+    "interaction-bidegrees": {"interaction": {"bidegrees": [[1, 2, 3]]}},
+    "interaction-bool-bidegree": {"interaction": {"bidegrees": [[True, 2]]}},
+    "interaction-unknown-entry": {"interaction": {"bidegrees": [[1, 2]], "scael": 5}},
+    "polynomial-missing": {"polynomial": "gone.json"},
+    "max_order": {"max_order": 9},
+    "max_order-string": {"max_order": "4"},
+    "tolerances-unknown-key": {"tolerances": {"woodburry": 1e-9}},
+    "tolerances-zero": {"tolerances": {"woodbury": 0}},
+    "radii": {"radii": (1.0, -2.0)},
+    "radii-length": {"radii": (1.0,)},
+    "quadrature": {"quadrature": {"nodes": 32}},
+}
+
+
+@pytest.mark.parametrize("kwargs", DIRECT_CASES.values(), ids=DIRECT_CASES)
+def test_direct_construction_runs_the_config_checks(kwargs):
+    raw = {"seed": 11, **kwargs}
+    with pytest.raises(ConfigError) as via_dict:
+        ScenarioConfig.from_dict(json.loads(json.dumps(raw)))
+    with pytest.raises(ConfigError) as direct:
+        ScenarioConfig(**raw)
+    assert str(direct.value) == str(via_dict.value)
+
+
+def test_direct_construction_normalizes_like_from_dict():
+    raw = {"seed": 3, "suites": ["qcheck"], "dims": [3, 2, 1], "b": 2,
+           "radii": [1, 2], "tolerances": {"qcheck": 1e-9}}
+    cfg = ScenarioConfig(**raw)
+    assert cfg == ScenarioConfig.from_dict(raw)
+    assert (cfg.suites, cfg.dims, cfg.radii) == (("qcheck",), (3, 2, 1), (1.0, 2.0))
+    assert isinstance(cfg.b, float) and cfg.tolerances is not raw["tolerances"]
+
+
+def test_with_suites_runs_the_suite_check():
+    with pytest.raises(ConfigError, match="config field 'suites': unknown suite 'bogus'"):
+        cfg_from().with_suites(["bogus"])
+    assert cfg_from().with_suites(["qcheck"]).suites == ("qcheck",)
+
+
 # ---------------------------------------------------------------------------
 # scenario data assembly
 

@@ -5,14 +5,13 @@ from blockspin.errors import NearSingularError
 from blockspin.kernels import (
     RGData,
     build_kernels,
-    delta_cov,
-    greens,
     identity_suite,
     next_scale_delta,
     qcheck_alt,
     qcheck_recursion,
     starred_kernels,
 )
+from blockspin.ensembles import random_rg_data, stream
 from blockspin.linalg import Operator, SpaceSpec, adjoint, cond, rel_opnorm
 from blockspin.reference import scalar_reference_data
 
@@ -129,6 +128,17 @@ def test_starred_kernels_match_for_symmetric_d():
     s_star, scheck_star, delta_star, cov_star = starred_kernels(data)
     assert rel_opnorm(s_star - ks.s, ks.s) < 1e-12
     assert rel_opnorm(cov_star - ks.cov, ks.cov) < 1e-12
+
+
+def test_starred_kernels_reuse_unstarred_for_bitwise_symmetric_d():
+    # an edA draw: identity grams, so adjoint(d) is d.T, which has the bits of d
+    data = random_rg_data(stream(1, "edA"), (4, 3, 2))
+    ks = build_kernels(data)
+    assert adjoint(data.d).entries.tobytes() == data.d.entries.tobytes()
+    starred = starred_kernels(data, ks)
+    for got, want in zip(starred, (ks.s, ks.scheck, ks.delta, ks.cov)):
+        assert got is want
+        assert np.array_equal(got.entries, want.entries)
 
 
 def test_starred_kernels_are_adjoints():

@@ -10,12 +10,10 @@ import pytest
 
 from blockspin import solvers
 from blockspin.errors import ConvergenceError, NearSingularError
-from blockspin.linalg import Operator, SpaceSpec
 from blockspin.poly import PolynomialP, eval_p_and_grads
 from blockspin.reference import scalar_reference_data, scalar_reference_spec
 from blockspin.action import make_action_spec
-from blockspin.series import SeriesPair
-from conftest import general_spec, make_rng, random_poly
+from conftest import general_spec, make_rng
 
 
 def rng_for(tag: int) -> np.random.Generator:
