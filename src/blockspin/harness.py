@@ -36,7 +36,7 @@ from .kernels import (RGData, build_kernels, identity_suite, qcheck_alt,
 from .lattice import BlockScheme, TorusLattice, build_tower, sublattice
 from .linalg import (FieldVector, Operator, SpaceSpec, adjoint, cond,
                      pairing, rel_opnorm, woodbury_left, woodbury_right)
-from .poly import load_polynomial
+from .poly import PolynomialP, load_polynomial
 from .reference import scalar_reference_data, scalar_reference_spec
 from .solvers import (compose_cp, delta_a_direct, delta_a_formula,
                       fps_background, fps_critical, newton_background,
@@ -178,6 +178,7 @@ class ScenarioConfig:
             object.__setattr__(self, "dims", tuple(self.dims))
 
         lattice = self.lattice
+        dim_minus = (self.dims or (3, 2, 1))[0]  # dimension of the fine space, where P lives
         if lattice is not None:
             _need(self.dims is None, "lattice", "give dims or lattice, not both")
             _need(isinstance(lattice, dict) and "extents" in lattice and "block" in lattice,
@@ -189,6 +190,7 @@ class ScenarioConfig:
                 sublattice(sublattice(fine, scheme, 1), scheme, 2)
             except ValueError as exc:
                 raise ConfigError(f"config field 'lattice': {exc}") from exc
+            dim_minus = fine.size
 
         _need(self.grams in ("identity", "random"), "grams", "need 'identity' or 'random'")
 
@@ -201,7 +203,7 @@ class ScenarioConfig:
             _need(isinstance(operators, dict) and set(operators) == {"q_minus", "q", "fq", "d"},
                   "operators", "need exactly the matrices q_minus, q, fq, d")
             _need(self.grams == "identity", "grams", "explicit operators require identity forms")
-            _operator_step(operators, self.dims, self.b)
+            dim_minus = _operator_step(operators, self.dims, self.b).space_minus.dim
 
         polynomial, interaction = self.polynomial, self.interaction
         _need(polynomial is None or isinstance(polynomial, str), "polynomial",
@@ -217,6 +219,7 @@ class ScenarioConfig:
         if polynomial is not None:
             resolved = self.base_dir / polynomial
             _need(resolved.is_file(), "polynomial", f"file '{resolved}' does not exist")
+            _polynomial(resolved, SpaceSpec(dim_minus))
 
         _need(_int_in(self.max_order, 1, 8), "max_order", "need an integer in [1, 8]")
 
@@ -304,6 +307,15 @@ def _block_scheme(lattice: dict) -> BlockScheme:
         raise ConfigError(f"config field 'lattice.profile': {exc}") from exc
 
 
+def _polynomial(path: Path, space: SpaceSpec) -> PolynomialP:
+    """The interaction in a polynomial file; a malformed record is a ConfigError."""
+    records = _read_json(path, "", "config field 'polynomial': ")
+    try:
+        return load_polynomial(records, space)
+    except ValueError as exc:
+        raise ConfigError(f"config field 'polynomial': {exc}") from exc
+
+
 def scenario_data(cfg: ScenarioConfig) -> RGData:
     if cfg.lattice is not None:
         tower = build_tower(TorusLattice(tuple(cfg.lattice["extents"])),
@@ -328,11 +340,7 @@ def scenario_spec(cfg: ScenarioConfig):
     data = scenario_data(cfg)
     p = None
     if cfg.polynomial is not None:
-        records = _read_json(cfg.base_dir / cfg.polynomial, "", "config field 'polynomial': ")
-        try:
-            p = load_polynomial(records, data.space_minus)
-        except ValueError as exc:
-            raise ConfigError(f"config field 'polynomial': {exc}") from exc
+        p = _polynomial(cfg.base_dir / cfg.polynomial, data.space_minus)
     elif cfg.interaction is not None:
         bidegrees = [tuple(pair) for pair in cfg.interaction["bidegrees"]]
         p = random_polynomial(stream(cfg.seed, "interaction"), data.space_minus,
@@ -354,6 +362,11 @@ class Check:
     def __post_init__(self):
         # numpy comparisons yield np.bool_, which json refuses
         object.__setattr__(self, "passed", bool(self.passed))
+
+    @classmethod
+    def within(cls, name: str, residual, tol: float, note: str = "") -> "Check":
+        """Passes when ``residual <= tol``, so a NaN residual fails."""
+        return cls(name, residual <= tol, residual, tol, note)
 
 
 @dataclass
@@ -408,6 +421,32 @@ class Report:
 # ---------------------------------------------------------------------------
 # suites
 
+def _merge_max(into: dict, values: dict) -> None:
+    """Keep the larger of the held and the new value at each key."""
+    for k, v in values.items():
+        into[k] = max(into.get(k, 0.0), v)
+
+
+def _specs_per_dims(rng, conds: dict, **draw):
+    """Yield ("3x2x1", spec) and then ("4x3x2", spec), each spec drawn with
+    kernel condition numbers up to 1e4 and its diagnostics merged into
+    ``conds``.  Lazy: a suite may draw from ``rng`` between the two specs."""
+    for dims in ((3, 2, 1), (4, 3, 2)):
+        spec = random_spec(rng, dims, max_cond=1e4, **draw)
+        _merge_max(conds, spec.kernels.diagnostics)
+        yield "x".join(map(str, dims)), spec
+
+
+def _reference_checks(pair, tol: float, linear, quadratic) -> list:
+    """The theta and theta^2 coefficients of ``pair.unstarred`` against
+    frozen values; ``linear`` and ``quadratic`` are (value, note) pairs."""
+    return [Check.within(f"reference-{kind}-coefficient",
+                         abs(complex(pair.unstarred.coefficient(0, order).flat[0]) - value),
+                         tol, note)
+            for order, kind, (value, note) in ((1, "linear", linear),
+                                               (2, "quadratic", quadratic))]
+
+
 def _suite_woodbury(cfg: ScenarioConfig) -> SuiteResult:
     """Both inversion identities on 100 draws with dims up to 12.
 
@@ -440,14 +479,12 @@ def _suite_woodbury(cfg: ScenarioConfig) -> SuiteResult:
         worst_left = max(worst_left, rel_opnorm(m_left @ got_left - eye, eye))
         got_right = woodbury_right(f, g, q, q_star).entries
         worst_right = max(worst_right, rel_opnorm(m_right @ got_right - eye, eye))
-    return SuiteResult("woodbury", [
-        Check("inverts-left-form", worst_left <= tol, worst_left, tol),
-        Check("inverts-right-form", worst_right <= tol, worst_right, tol)])
+    return SuiteResult("woodbury", [Check.within("inverts-left-form", worst_left, tol),
+                                    Check.within("inverts-right-form", worst_right, tol)])
 
 
 def _suite_qcheck(cfg: ScenarioConfig) -> SuiteResult:
     """Constraint-form recursion against its inversion-identity dual."""
-    tol = cfg.tolerance("qcheck")
     rng = stream(cfg.seed, "qcheck")
     dims_cycle = ((3, 2, 1), (4, 3, 2), (6, 4, 2), (5, 4, 3))
     worst = 0.0
@@ -457,7 +494,7 @@ def _suite_qcheck(cfg: ScenarioConfig) -> SuiteResult:
         dual = qcheck_alt(data).entries
         worst = max(worst, rel_opnorm(dual - direct, direct))
     return SuiteResult("qcheck", [
-        Check("dual-representations-agree", worst <= tol, worst, tol)])
+        Check.within("dual-representations-agree", worst, cfg.tolerance("qcheck"))])
 
 
 def _suite_eda(cfg: ScenarioConfig) -> SuiteResult:
@@ -475,20 +512,15 @@ def _suite_eda(cfg: ScenarioConfig) -> SuiteResult:
             continue
         if max(ks.diagnostics.values()) > 1e6:
             continue
-        for k, v in identity_suite(data, ks).items():
-            worst[k] = max(worst.get(k, 0.0), v)
-        for k, v in ks.diagnostics.items():
-            conds[k] = max(conds.get(k, 0.0), v)
+        _merge_max(worst, identity_suite(data, ks))
+        _merge_max(conds, ks.diagnostics)
         accepted += 1
-    checks = [Check(f"identity-{k}", v <= tol, v, tol)
-              for k, v in sorted(worst.items())]
+    checks = [Check.within(f"identity-{k}", v, tol) for k, v in sorted(worst.items())]
     return SuiteResult("edA", checks, condition_numbers=conds)
 
 
 def _suite_preparation(cfg: ScenarioConfig) -> SuiteResult:
     """Value and gradient identities at 20 points, cubic plus quartic P."""
-    tol_v = cfg.tolerance("preparation")
-    tol_g = cfg.tolerance("preparation-gradient")
     rng = stream(cfg.seed, "preparation")
     spec = random_spec(rng, (3, 2, 1),
                        bidegrees=((1, 2), (0, 3), (2, 2), (1, 3), (0, 4)),
@@ -504,65 +536,45 @@ def _suite_preparation(cfg: ScenarioConfig) -> SuiteResult:
         worst_v = max(worst_v, v)
         worst_g = max(worst_g, g)
     return SuiteResult("preparation", [
-        Check("value-identity", worst_v <= tol_v, worst_v, tol_v),
-        Check("gradient-identity", worst_g <= tol_g, worst_g, tol_g)],
+        Check.within("value-identity", worst_v, cfg.tolerance("preparation")),
+        Check.within("gradient-identity", worst_g, cfg.tolerance("preparation-gradient"))],
         condition_numbers=dict(spec.kernels.diagnostics))
 
 
 def _suite_fps_composition(cfg: ScenarioConfig) -> SuiteResult:
     """Composition rule coefficientwise, plus frozen reference coefficients."""
     tol = cfg.tolerance("fps-composition")
-    tol_ref = cfg.tolerance("reference-coefficients")
-    rng = stream(cfg.seed, "fps-composition")
-    checks = []
     conds: dict[str, float] = {}
-    for dims in ((3, 2, 1), (4, 3, 2)):
-        spec = random_spec(rng, dims, scale=0.3, max_cond=1e4)
-        out = verify_composition(spec, max_order=cfg.max_order)
-        tag = "x".join(str(d) for d in dims)
-        checks.append(Check(f"order-{cfg.max_order}-dims-{tag}",
-                            out["max_residual"] <= tol, out["max_residual"], tol))
-        for k, v in spec.kernels.diagnostics.items():
-            conds[k] = max(conds.get(k, 0.0), v)
+    checks = [Check.within(f"order-{cfg.max_order}-dims-{tag}",
+                           verify_composition(spec, max_order=cfg.max_order)["max_residual"],
+                           tol)
+              for tag, spec in _specs_per_dims(stream(cfg.seed, "fps-composition"), conds,
+                                               scale=0.3)]
     g = 0.05
     spec = scalar_reference_spec(g=g)
     bg = fps_background(spec, max_order=2)
-    cr = fps_critical(spec, bg, max_order=2)
-    comp = compose_cp(bg, cr, max_order=2)
-    lin = abs(complex(comp.unstarred.coefficient(0, 1).flat[0]) - 1.0 / 3.0)
-    quad = abs(complex(comp.unstarred.coefficient(0, 2).flat[0]) + 2.0 * g / 27.0)
-    checks.append(Check("reference-linear-coefficient", lin <= tol_ref, lin, tol_ref,
-                        note="composed next-scale background, theta/3"))
-    checks.append(Check("reference-quadratic-coefficient", quad <= tol_ref, quad, tol_ref,
-                        note="-(2g/27) theta^2 at g = 0.05"))
+    comp = compose_cp(bg, fps_critical(spec, bg, max_order=2), max_order=2)
+    checks += _reference_checks(comp, cfg.tolerance("reference-coefficients"),
+                                (1.0 / 3.0, "composed next-scale background, theta/3"),
+                                (-2.0 * g / 27.0, "-(2g/27) theta^2 at g = 0.05"))
     return SuiteResult("fps-composition", checks, condition_numbers=conds)
 
 
 def _suite_crit_representation(cfg: ScenarioConfig) -> SuiteResult:
     """Critical series as covariance response, plus frozen reference values."""
     tol = cfg.tolerance("crit-representation")
-    tol_ref = cfg.tolerance("reference-coefficients")
-    rng = stream(cfg.seed, "crit-representation")
     checks = []
     conds: dict[str, float] = {}
-    for dims in ((3, 2, 1), (4, 3, 2)):
-        spec = random_spec(rng, dims, scale=0.3, max_cond=1e4)
+    for tag, spec in _specs_per_dims(stream(cfg.seed, "crit-representation"), conds,
+                                     scale=0.3):
         out = verify_crit_representation(spec, max_order=cfg.max_order)
-        tag = "x".join(str(d) for d in dims)
-        checks.append(Check(f"order-{cfg.max_order}-dims-{tag}",
-                            out["max_residual"] <= tol, out["max_residual"], tol))
-        lead = out["leading_vs_covariance"]
-        checks.append(Check(f"leading-term-dims-{tag}", lead <= tol, lead, tol))
-        for k, v in spec.kernels.diagnostics.items():
-            conds[k] = max(conds.get(k, 0.0), v)
+        checks += [Check.within(f"order-{cfg.max_order}-dims-{tag}", out["max_residual"], tol),
+                   Check.within(f"leading-term-dims-{tag}", out["leading_vs_covariance"], tol)]
     g = 0.05
-    cr = fps_critical(scalar_reference_spec(g=g), max_order=2)
-    lin = abs(complex(cr.unstarred.coefficient(0, 1).flat[0]) - 2.0 / 3.0)
-    quad = abs(complex(cr.unstarred.coefficient(0, 2).flat[0]) + g / 27.0)
-    checks.append(Check("reference-linear-coefficient", lin <= tol_ref, lin, tol_ref,
-                        note="critical field, (2/3) theta"))
-    checks.append(Check("reference-quadratic-coefficient", quad <= tol_ref, quad, tol_ref,
-                        note="-(g/27) theta^2 at g = 0.05"))
+    checks += _reference_checks(fps_critical(scalar_reference_spec(g=g), max_order=2),
+                                cfg.tolerance("reference-coefficients"),
+                                (2.0 / 3.0, "critical field, (2/3) theta"),
+                                (-g / 27.0, "-(g/27) theta^2 at g = 0.05"))
     return SuiteResult("crit-representation", checks, condition_numbers=conds)
 
 
@@ -577,12 +589,7 @@ def _suite_newton_vs_fps(cfg: ScenarioConfig) -> SuiteResult:
     rng = stream(cfg.seed, "newton-vs-fps")
     checks = []
     conds: dict[str, float] = {}
-    for dims in ((3, 2, 1), (4, 3, 2)):
-        spec = random_spec(rng, dims, bidegrees=((1, 2), (0, 3)), scale=0.2,
-                           max_cond=1e4)
-        tag = "x".join(str(d) for d in dims)
-        for k, v in spec.kernels.diagnostics.items():
-            conds[k] = max(conds.get(k, 0.0), v)
+    for tag, spec in _specs_per_dims(rng, conds, bidegrees=((1, 2), (0, 3)), scale=0.2):
         bg = fps_background(spec, max_order=4)
         cr = fps_critical(spec, bg, max_order=4)
         cases = (("background", spec.rg.space_mid, bg, newton_background),
@@ -602,8 +609,8 @@ def _suite_newton_vs_fps(cfg: ScenarioConfig) -> SuiteResult:
             lo = discrepancy(0.1)
             hi = discrepancy(0.2)
             ratio = hi / lo if lo > 0 else float("inf")
-            checks.append(Check(f"{kind}-agreement-dims-{tag}", lo <= tol, lo, tol,
-                                note="series vs Newton at field scale 0.1"))
+            checks.append(Check.within(f"{kind}-agreement-dims-{tag}", lo, tol,
+                                       note="series vs Newton at field scale 0.1"))
             checks.append(Check(f"{kind}-doubling-dims-{tag}",
                                 2.0 ** 4 <= ratio <= 2.0 ** 6, ratio, None,
                                 note="scale 0.1 -> 0.2, expected in [2^4, 2^6]"))
@@ -612,8 +619,6 @@ def _suite_newton_vs_fps(cfg: ScenarioConfig) -> SuiteResult:
 
 def _suite_delta_a(cfg: ScenarioConfig) -> SuiteResult:
     """Increment identity at 20 points; exact quadratic reduction for P = 0."""
-    tol = cfg.tolerance("deltaA")
-    tol_free = cfg.tolerance("deltaA-free")
     rng = stream(cfg.seed, "deltaA")
     spec = random_spec(rng, (3, 2, 1), scale=0.3, max_cond=1e4)
     sp, smid = spec.rg.space_plus, spec.rg.space_mid
@@ -638,17 +643,15 @@ def _suite_delta_a(cfg: ScenarioConfig) -> SuiteResult:
         want = pairing(ds, FieldVector(free.rg.space_mid, quad_form @ du.components))
         worst_free = max(worst_free, abs(direct - want))
     return SuiteResult("deltaA", [
-        Check("formula-vs-direct", worst <= tol, worst, tol,
-              note="absolute difference at 20 points"),
-        Check("free-quadratic-reduction", worst_free <= tol_free, worst_free, tol_free)],
+        Check.within("formula-vs-direct", worst, cfg.tolerance("deltaA"),
+                     note="absolute difference at 20 points"),
+        Check.within("free-quadratic-reduction", worst_free, cfg.tolerance("deltaA-free"))],
         condition_numbers=dict(spec.kernels.diagnostics))
 
 
 def _suite_gaussian_detd(cfg: ScenarioConfig) -> SuiteResult:
     """Determinant form of the Gaussian split on random draws plus the
     reference instance 2 = 1 * 3 * (2/3)."""
-    tol = cfg.tolerance("gaussian-detd")
-    tol_ref = cfg.tolerance("gaussian-reference")
     rng = stream(cfg.seed, "gaussian-detd")
     dims_cycle = ((3, 2, 1), (4, 3, 2), (6, 4, 2))
     worst = 0.0
@@ -663,9 +666,9 @@ def _suite_gaussian_detd(cfg: ScenarioConfig) -> SuiteResult:
     ref = prop_d_gaussian_check(scalar_reference_data())
     ref_err = max(abs(ref["lhs"] - 2.0), abs(ref["rhs"] - 2.0)) / 2.0
     return SuiteResult("gaussian-detd", [
-        Check("random-draws", worst <= tol, worst, tol),
-        Check("reference-instance", ref_err <= tol_ref, ref_err, tol_ref,
-              note="det delta^{-1} = 2 = 1 * 3 * (2/3)")])
+        Check.within("random-draws", worst, cfg.tolerance("gaussian-detd")),
+        Check.within("reference-instance", ref_err, cfg.tolerance("gaussian-reference"),
+                     note="det delta^{-1} = 2 = 1 * 3 * (2/3)")])
 
 
 def _suite_gaussian_quadrature(cfg: ScenarioConfig) -> SuiteResult:
@@ -687,12 +690,10 @@ def _suite_gaussian_quadrature(cfg: ScenarioConfig) -> SuiteResult:
         return SuiteResult("gaussian-quadrature", [
             Check("two-sided-agreement", False, None, tol,
                   note=f"{note}; {exc}")])
-    rel = out["relative_difference"]
-    dev = max(out["node_deviation"].values())
     return SuiteResult("gaussian-quadrature", [
-        Check("two-sided-agreement", rel <= tol, rel, tol, note=note),
-        Check("node-consistency", dev <= 0.5 * tol, dev, 0.5 * tol,
-              note="nodes-per-axis refined by 1.5x")])
+        Check.within("two-sided-agreement", out["relative_difference"], tol, note=note),
+        Check.within("node-consistency", max(out["node_deviation"].values()), 0.5 * tol,
+                     note="nodes-per-axis refined by 1.5x")])
 
 
 def _suite_lattice(cfg: ScenarioConfig) -> SuiteResult:
@@ -712,13 +713,11 @@ def _suite_lattice(cfg: ScenarioConfig) -> SuiteResult:
         q2 = tower[2].step
         ones = np.ones(lat.size)
         norm_res = float(np.abs(q1.entries @ ones - 1.0).max())
-        checks.append(Check(f"{tag}-constants-preserved", norm_res <= tol,
-                            norm_res, tol))
+        checks.append(Check.within(f"{tag}-constants-preserved", norm_res, tol))
         composed = q2 @ q1
         comp_res = rel_opnorm(tower[2].cumulative.entries - composed.entries,
                               composed.entries)
-        checks.append(Check(f"{tag}-tower-composition", comp_res <= tol,
-                            comp_res, tol))
+        checks.append(Check.within(f"{tag}-tower-composition", comp_res, tol))
         pair_res = 0.0
         q1_star = adjoint(q1)
         fine, coarse = q1.domain, q1.codomain
@@ -728,14 +727,12 @@ def _suite_lattice(cfg: ScenarioConfig) -> SuiteResult:
             lhs = pairing(FieldVector(coarse, q1.entries @ phi.components), theta)
             rhs = pairing(phi, FieldVector(fine, q1_star.entries @ theta.components))
             pair_res = max(pair_res, abs(lhs - rhs))
-        checks.append(Check(f"{tag}-adjoint-pairing", pair_res <= tol,
-                            pair_res, tol))
+        checks.append(Check.within(f"{tag}-adjoint-pairing", pair_res, tol))
         c = float(scheme.profile @ scheme.profile)
         eye = c * np.eye(coarse.dim)
         orth_res = rel_opnorm(q1.entries @ q1_star.entries - eye, eye)
-        checks.append(Check(f"{tag}-disjoint-rows", orth_res <= tol,
-                            orth_res, tol,
-                            note="Q Q* = |profile|^2 identity on disjoint blocks"))
+        checks.append(Check.within(f"{tag}-disjoint-rows", orth_res, tol,
+                                   note="Q Q* = |profile|^2 identity on disjoint blocks"))
     return SuiteResult("lattice", checks)
 
 

@@ -204,12 +204,6 @@ def solve(a: Operator, rhs, assumption: str | None = None) -> FieldVector:
     return FieldVector(a.domain, x)
 
 
-def inverse(a: Operator) -> Operator:
-    a.domain.require_compatible(a.codomain, "inverse")
-    entries = gated_inverse(a.entries, "operator")
-    return Operator(a.codomain, a.domain, entries)
-
-
 def rel_opnorm(diff, ref) -> float:
     """Spectral norm of ``diff`` relative to that of ``ref`` (floored at 1).
 

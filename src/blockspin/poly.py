@@ -13,7 +13,6 @@ role of the starred drive and grad_star the unstarred one.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -122,18 +121,14 @@ def _is_index(v, bound: float = math.inf) -> bool:
     return type(v) is int and 0 <= v < bound  # a json integer, never a bool
 
 
-def load_polynomial(path_or_records, space: SpaceSpec) -> PolynomialP:
-    """Read the record format: a list of monomial blocks with sparse entries.
+def load_polynomial(records, space: SpaceSpec) -> PolynomialP:
+    """Build P from the records of a polynomial file (its parsed json): a
+    list of monomial blocks with sparse entries.
 
     Each record holds kstar, k and entries [{multi_index_star, multi_index,
     re, im}].  Entries accumulate, and the assembled tensor is symmetrized,
     so listing a coefficient on one index ordering is enough.
     """
-    if isinstance(path_or_records, (str, bytes)):
-        with open(path_or_records) as fh:
-            records = json.load(fh)
-    else:
-        records = path_or_records
     if not isinstance(records, list):
         raise ValueError("polynomial file must hold a list of monomial records")
     monomials: dict = {}

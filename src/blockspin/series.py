@@ -115,20 +115,3 @@ def series_difference_norms(a: FormalSeries, b: FormalSeries) -> dict:
         out[key] = float(np.linalg.norm(d.reshape(-1))) / ref
     return out
 
-
-def series_to_jsonable(s: FormalSeries) -> dict:
-    """Dense export with stringified bidegree keys, for reports and diffs."""
-    blocks = {}
-    for (kstar, k) in sorted(s.coeffs):
-        t = s.coeffs[(kstar, k)]
-        blocks[f"({kstar},{k})"] = {
-            "shape": list(t.shape),
-            "re": t.real.reshape(-1).tolist(),
-            "im": t.imag.reshape(-1).tolist(),
-        }
-    return {
-        "input_dim": s.input_space.dim,
-        "target_dim": s.target_space.dim,
-        "max_order": s.max_order,
-        "coefficients": blocks,
-    }

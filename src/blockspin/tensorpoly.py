@@ -90,12 +90,7 @@ def jacobians(coeffs: dict, ustar: np.ndarray, u: np.ndarray, out_dim: int,
         t = coeffs[(a, b)]
         if a >= 1:
             # contract all unstarred slots and all but one starred slot
-            m = t
-            for _ in range(b):
-                m = np.tensordot(m, u, axes=([m.ndim - 1], [0]))
-            for _ in range(a - 1):
-                m = np.tensordot(m, ustar, axes=([m.ndim - 1], [0]))
-            j_star += a * m
+            j_star += a * contract_all(t, a - 1, b, ustar, u)
         if b >= 1:
             m = t
             for _ in range(b - 1):

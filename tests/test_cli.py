@@ -210,13 +210,18 @@ BAD_RECORDS = [
 
 
 def test_kernels_exit_2_on_bad_polynomial_records(tmp_path):
-    for records, where in BAD_RECORDS:
+    """Every command rejects a bad polynomial file when it reads the config,
+    also where no suite that runs would read the file."""
+    cases = [(records, where, [1, 1, 1]) for records, where in BAD_RECORDS]
+    cases.append(([{"kstar": 1}], "record 0: 'k'", [3, 2, 1]))
+    for records, where, dims in cases:
         (tmp_path / "p.json").write_text(json.dumps(records))
-        cfg = write_config(tmp_path, dims=[1, 1, 1], polynomial="p.json")
-        out = run_cli("kernels", "--config", str(cfg))
-        assert out.returncode == 2, records
-        assert "'polynomial'" in out.stderr and where in out.stderr, out.stderr
-        assert "Traceback" not in out.stderr
+        cfg = write_config(tmp_path, dims=dims, polynomial="p.json")
+        for command in ("kernels", "verify"):
+            out = run_cli(command, "--config", str(cfg))
+            assert out.returncode == 2, (command, records)
+            assert "'polynomial'" in out.stderr and where in out.stderr, out.stderr
+            assert "Traceback" not in out.stderr
 
 
 def test_unknown_format_is_usage_error(tmp_path):

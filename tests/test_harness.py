@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from blockspin.ensembles import stream, unit_field
 from blockspin.errors import ConfigError
 from blockspin.harness import (
     SUITE_NAMES,
@@ -12,11 +13,14 @@ from blockspin.harness import (
     Report,
     ScenarioConfig,
     SuiteResult,
+    _specs_per_dims,
     emit_report,
     run_scenario,
     scenario_data,
     scenario_spec,
 )
+from blockspin.solvers import (fps_background, fps_critical, newton_background,
+                               newton_critical)
 
 
 def cfg_from(**overrides):
@@ -323,6 +327,24 @@ def test_missing_polynomial_file_names_the_field(tmp_path):
         scenario_spec(ScenarioConfig.from_file(path))
 
 
+@pytest.mark.parametrize("space, dim", [
+    ({}, 3),
+    ({"lattice": {"extents": [4], "block": [2]}}, 4),
+    ({"dims": [1, 1, 1],
+      "operators": {"q_minus": [[1.0]], "q": [[1.0]], "fq": [[1.0]], "d": [[1.0]]}}, 1),
+], ids=["default-dims", "lattice", "operators"])
+def test_polynomial_records_are_checked_on_the_fine_space(tmp_path, space, dim):
+    def config(index):
+        (tmp_path / "p.json").write_text(json.dumps([{"kstar": 0, "k": 2, "entries": [
+            {"multi_index": [0, index], "re": 0.1}]}]))
+        raw = {"seed": 5, "suites": [], "polynomial": "p.json", **space}
+        return ScenarioConfig.from_dict(raw, base_dir=tmp_path)
+
+    config(dim - 1)
+    with pytest.raises(ConfigError, match=rf"'multi_index' needs 2 indices in \[0, {dim}\)"):
+        config(dim)
+
+
 def test_interaction_ensemble_populates_p():
     spec = scenario_spec(cfg_from(dims=[3, 2, 1],
                                   interaction={"bidegrees": [[1, 2]], "scale": 0.1}))
@@ -403,6 +425,45 @@ def test_quadrature_suite_falls_back_to_reference():
     assert "reference family" in report.suites[0].checks[0].note
 
 
+@pytest.mark.parametrize("seed", [14, 24, 54])
+def test_newton_vs_fps_fails_by_truncation_at_known_seeds(seed):
+    """Criterion 6 fails at these seeds because of the order-4 truncation,
+    not because of a solver.  The one failing agreement gap lies just above
+    the 1e-7 tolerance.  Its doubling ratio is that of an order-5 remainder.
+    On the same draw and directions the order-6 series cuts the gap at
+    least 100-fold.  This pins the diagnosis; it is not a pass."""
+    suite = run_scenario(ScenarioConfig(seed=seed, suites=("newton-vs-fps",))).suites[0]
+    failed = [c for c in suite.checks if not c.passed]
+    assert len(failed) == 1 and "-agreement-dims-" in failed[0].name
+    gap = failed[0].residual
+    assert 1e-7 < gap < 3e-7
+    kind, tag = failed[0].name.split("-agreement-dims-")
+    ratio = {c.name: c.residual for c in suite.checks}[f"{kind}-doubling-dims-{tag}"]
+    assert 2.0 ** 4 <= ratio <= 2.0 ** 6
+
+    # replay the suite's draws: each spec, then two directions per kind
+    rng = stream(seed, "newton-vs-fps")
+    for drawn, spec in _specs_per_dims(rng, {}, bidegrees=((1, 2), (0, 3)), scale=0.2):
+        spaces = {"background": spec.rg.space_mid, "critical": spec.rg.space_plus}
+        dirs = {k: (unit_field(rng, s), unit_field(rng, s)) for k, s in spaces.items()}
+        if drawn == tag:
+            break
+    src = [0.1 * d.components for d in dirs[kind]]
+    solver = newton_background if kind == "background" else newton_critical
+    got = solver(spec, *src, tol=1e-13)
+
+    def series_gap(order):
+        series = fps_background(spec, max_order=order)
+        if kind == "critical":
+            series = fps_critical(spec, series, max_order=order)
+        want = series.evaluate(*src)
+        return max(float(np.abs(g.components - w.components).max())
+                   for g, w in zip(got, want))
+
+    assert series_gap(4) == gap
+    assert 100.0 * series_gap(6) <= gap
+
+
 def test_full_default_scenario_passes():
     report = run_scenario(cfg_from())
     assert report.passed
@@ -477,6 +538,18 @@ def test_crashing_suite_is_reported_not_raised(monkeypatch):
     assert broken.checks[0].name == "suite-execution"
     assert "synthetic breakage" in broken.checks[0].note
     assert report.suites[1].passed
+
+
+@pytest.mark.parametrize("residual, passed", [
+    (float("nan"), False),  # a NaN residual fails
+    (1e-3, True),  # a residual equal to the tolerance passes
+    (np.float64(1e-4), True),  # a numpy residual still gives a plain bool
+    (np.float64(2e-3), False),
+], ids=["nan", "equal", "float64-below", "float64-above"])
+def test_check_within_is_the_le_test(residual, passed):
+    check = Check.within("x", residual, 1e-3)
+    assert check.passed is passed
+    assert check.residual is residual and check.tolerance == 1e-3 and check.note == ""
 
 
 def test_suite_result_passed_reflects_checks():
