@@ -17,9 +17,9 @@ from .linalg import (FieldVector, Operator, SpaceSpec, adjoint, components,
                      pairing, rel_opnorm, solve, woodbury_left, woodbury_right)
 from .lattice import (BlockScheme, TorusLattice, TowerLevel,
                       averaging_operator, build_tower, sublattice)
-from .kernels import (KernelSet, RGData, build_kernels, delta_cov, greens,
-                      identity_suite, next_scale_delta, qcheck_alt,
-                      qcheck_recursion, starred_kernels)
+from .kernels import (KernelSet, RGData, build_kernels, identity_suite,
+                      next_scale_delta, qcheck_alt, qcheck_recursion,
+                      starred_kernels)
 from .poly import PolynomialP, dump_polynomial, load_polynomial
 from .series import FormalSeries, SeriesPair, compose_pair
 from .action import (ActionSpec, base_action, effective_action,

@@ -43,12 +43,11 @@ class ActionSpec:
     rg: RGData
     p: PolynomialP
     kernels: KernelSet
-    mats: dict = field(default_factory=dict, repr=False)
+    mats: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         self.p.space.require_compatible(self.rg.space_minus, "interaction polynomial")
-        if not self.mats:
-            object.__setattr__(self, "mats", _matrix_table(self.rg, self.kernels))
+        object.__setattr__(self, "mats", _matrix_table(self.rg, self.kernels))
 
     @property
     def spaces(self):
@@ -62,26 +61,19 @@ def make_action_spec(rg: RGData, p: PolynomialP | None = None) -> ActionSpec:
 
 
 def _matrix_table(rg: RGData, ks: KernelSet) -> dict:
-    qm = rg.q_minus.entries
-    q = rg.q.entries
-    qms = adjoint(rg.q_minus).entries
-    qs = adjoint(rg.q).entries
-    qcm = q @ qm
-    qcms = adjoint(rg.q @ rg.q_minus).entries
-    dstar = adjoint(rg.d).entries
     s_star, scheck_star, delta_star, cov_star = starred_kernels(rg, ks)
-    qc = ks.qcheck.entries
     return {
-        "qm": qm, "q": q, "qms": qms, "qs": qs, "qcm": qcm, "qcms": qcms,
-        "fq": rg.fq.entries, "d": rg.d.entries, "dstar": dstar,
-        "qc": qc, "qc_star": adjoint(ks.qcheck).entries,
+        "qm": rg.q_minus.entries, "q": rg.q.entries, "qms": rg.qms, "qs": rg.qs,
+        "qcm": rg.qcm, "qcms": rg.qcms, "fq": rg.fq.entries, "d": rg.d.entries, "dstar": rg.dstar,
+        "qc": ks.qcheck.entries, "qc_star": adjoint(ks.qcheck).entries,
         "s": ks.s.entries, "s_star": s_star.entries,
         "scheck": ks.scheck.entries, "scheck_star": scheck_star.entries,
         "delta": ks.delta.entries, "delta_star": delta_star.entries,
         "cov": ks.cov.entries, "cov_star": cov_star.entries,
-        "crit_lhs": rg.b * qs @ q + rg.fq.entries,
-        "fq_qm": rg.fq.entries @ qm,
-        "qms_fq": qms @ rg.fq.entries,
+        "cov_inv": ks.delta.entries + rg.b * rg.qs @ rg.q.entries,
+        "crit_lhs": rg.crit_lhs,
+        "fq_qm": rg.fq.entries @ rg.q_minus.entries,
+        "qms_fq": rg.qms @ rg.fq.entries,
     }
 
 
@@ -211,8 +203,7 @@ def preparation_check(spec: ActionSpec, theta_star, theta, phi_star, phi
     g_full = grad_full_action(spec, pt_star, pt, phi_star, phi)
     g_eff = grad_effective_action(spec, theta_star, theta, pt_star, pt, phi_star, phi)
     m = spec.mats
-    chain = m["qms_fq"] @ gated_solve(m["crit_lhs"], np.eye(spec.rg.space_mid.dim),
-                                      "b q*q + fq")
+    chain = m["qms_fq"] @ spec.rg.crit_inv
     res = 0.0
     scale = 1.0
     for slot, eff_slot in (("phi_star", "psi_star"), ("phi", "psi")):

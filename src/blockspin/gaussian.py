@@ -16,6 +16,8 @@ be solved vectorized over whole node grids.
 
 from __future__ import annotations
 
+from numbers import Integral, Real
+
 import numpy as np
 
 from .action import ActionSpec
@@ -149,6 +151,16 @@ def _scalar_setup(spec: ActionSpec) -> tuple[dict, dict]:
     pc = {key: complex(np.asarray(t, dtype=complex).reshape(-1)[0])
           for key, t in spec.p.monomials.items()}
     return sc, pc
+
+
+def _disc_grid(radii: dict, nodes) -> tuple:
+    """The named disc radii and the node count of a grid, once checked."""
+    for name, r in radii.items():
+        if not (isinstance(r, Real) and 0 < r < np.inf):
+            raise BlockspinError(f"{name} must be a finite positive number, got {r!r}")
+    if not (isinstance(nodes, Integral) and nodes >= 1):
+        raise BlockspinError(f"nodes_per_axis must be an integer >= 1, got {nodes!r}")
+    return (*map(float, radii.values()), int(nodes))
 
 
 def _diff_star(c: dict) -> dict:
@@ -345,10 +357,7 @@ def prop_d_quadrature_check(spec: ActionSpec, radii, nodes_per_axis: int = 64,
     the relative lhs-rhs difference, and the node-consistency deviations.
     """
     sc, pc = _scalar_setup(spec)
-    r_mid, r_plus = float(radii[0]), float(radii[1])
-    if r_mid <= 0.0 or r_plus <= 0.0:
-        raise BlockspinError(f"radii must be positive, got ({r_mid}, {r_plus})")
-    n = int(nodes_per_axis)
+    r_mid, r_plus, n = _disc_grid({"radii[0]": radii[0], "radii[1]": radii[1]}, nodes_per_axis)
     first = _split_pass(sc, pc, r_mid, r_plus, n, theta_cutoff_sigmas, e_callback)
     n_fine = int(np.ceil(1.5 * n))
     fine = _split_pass(sc, pc, r_mid, r_plus, n_fine, theta_cutoff_sigmas, e_callback)
@@ -384,12 +393,11 @@ def fluctuation_integral(spec: ActionSpec, theta_star, theta,
             raise BlockspinError(
                 "whole-space mode is exact only for P = 0; pass a radius to "
                 "integrate the interacting increment")
-        m = spec.mats
-        quad = m["delta"] + spec.rg.b * m["qs"] @ m["q"]
-        _require_positive(spec.rg.space_mid, quad, "fluctuation form cov^{-1}")
+        _require_positive(spec.rg.space_mid, spec.mats["cov_inv"], "fluctuation form cov^{-1}")
         return complex(np.linalg.det(spec.kernels.cov.entries))
     if increment not in ("direct", "formula"):
         raise BlockspinError(f"unknown increment evaluator {increment!r}")
+    radius, n = _disc_grid({"radius": radius}, nodes_per_axis)
     _scalar_setup(spec)
     ts = components(theta_star).astype(complex)
     tu = components(theta).astype(complex)
@@ -402,7 +410,7 @@ def fluctuation_integral(spec: ActionSpec, theta_star, theta,
     series = None
     if increment == "formula":
         series = delta_phi_plus_series(spec, ts, tu, 6, tol=tol, _base=base)
-    u, w_u = _polar_grid(0.0, float(radius), int(nodes_per_axis), int(nodes_per_axis))
+    u, w_u = _polar_grid(0.0, radius, n, n)
     terms = np.empty(u.size, dtype=complex)
     for i in range(u.size):
         dpsi = np.array([u[i]]) - psi_cr

@@ -632,7 +632,6 @@ def _suite_delta_a(cfg: ScenarioConfig) -> SuiteResult:
         formula = delta_a_formula(spec, ts, tu, ds, du, max_degree=4)
         worst = max(worst, abs(direct - formula))
     free = make_action_spec(random_rg_data(rng, (3, 2, 1)))
-    quad_form = free.mats["delta"] + free.rg.b * free.mats["qs"] @ free.mats["q"]
     worst_free = 0.0
     for _ in range(10):
         ts = unit_field(rng, free.rg.space_plus, 0.2)
@@ -640,7 +639,7 @@ def _suite_delta_a(cfg: ScenarioConfig) -> SuiteResult:
         ds = unit_field(rng, free.rg.space_mid, 0.1)
         du = unit_field(rng, free.rg.space_mid, 0.1)
         direct = delta_a_direct(free, ts, tu, ds, du)
-        want = pairing(ds, FieldVector(free.rg.space_mid, quad_form @ du.components))
+        want = pairing(ds, FieldVector(free.rg.space_mid, free.mats["cov_inv"] @ du.components))
         worst_free = max(worst_free, abs(direct - want))
     return SuiteResult("deltaA", [
         Check.within("formula-vs-direct", worst, cfg.tolerance("deltaA"),

@@ -18,6 +18,7 @@ its pairing adjoint; for symmetric d the two coincide.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -36,7 +37,12 @@ from .linalg import (
 
 @dataclass(frozen=True, eq=False)
 class RGData:
-    """Input data of one step; validated at construction."""
+    """Input data of one step; validated at construction.
+
+    The fixed maps of the step are derived on first use and kept read-only:
+    the adjoints qms, qs, qcms and dstar of q_minus, q, qcm = q q_minus and
+    d, crit_lhs = b q*q + fq and its gated inverse crit_inv.
+    """
 
     space_minus: SpaceSpec
     space_mid: SpaceSpec
@@ -67,56 +73,65 @@ class RGData:
         # d is allowed to be non-symmetric; starred kernels use its adjoint
 
     def d_is_symmetric(self) -> bool:
-        return form_asymmetry(self.d) <= 1e-12
+        return rel_opnorm(self.d.entries - self.dstar, self.d) <= 1e-12
+
+    @cached_property
+    def qms(self) -> np.ndarray:
+        return adjoint(self.q_minus).entries
+
+    @cached_property
+    def qs(self) -> np.ndarray:
+        return adjoint(self.q).entries
+
+    @cached_property
+    def qcm(self) -> np.ndarray:
+        return (self.q @ self.q_minus).entries
+
+    @cached_property
+    def qcms(self) -> np.ndarray:
+        return adjoint(Operator(self.space_minus, self.space_plus, self.qcm)).entries
+
+    @cached_property
+    def dstar(self) -> np.ndarray:
+        return adjoint(self.d).entries
+
+    @cached_property
+    def crit_lhs(self) -> np.ndarray:
+        m = self.b * self.qs @ self.q.entries + self.fq.entries
+        return Operator(self.space_mid, self.space_mid, m).entries
+
+    @cached_property
+    def crit_inv(self) -> np.ndarray:
+        inv = gated_inverse(self.crit_lhs, "b q*q + fq")
+        return Operator(self.space_mid, self.space_mid, inv).entries
 
 
 def qcheck_recursion(data: RGData) -> Operator:
     """Next-scale constraint form, direct definition ((1/b) + q fq^{-1} q*)^{-1}."""
-    qs = adjoint(data.q)
     fq_inv = gated_inverse(data.fq.entries, "fq")
-    m = np.eye(data.space_plus.dim) / data.b + data.q.entries @ fq_inv @ qs.entries
+    m = np.eye(data.space_plus.dim) / data.b + data.q.entries @ fq_inv @ data.qs
     entries = gated_inverse(m, "(1/b) + q fq^{-1} q*")
     return Operator(data.space_plus, data.space_plus, entries)
 
 
 def qcheck_alt(data: RGData) -> Operator:
     """Same kernel via the inner Schur factor: b (1 - b q (b q*q + fq)^{-1} q*)."""
-    qs = adjoint(data.q)
-    m = data.b * qs.entries @ data.q.entries + data.fq.entries
-    y = np.linalg.solve(gate(m, "b q*q + fq"), qs.entries)
+    y = np.linalg.solve(gate(data.crit_lhs, "b q*q + fq"), data.qs)
     entries = data.b * (np.eye(data.space_plus.dim) - data.b * data.q.entries @ y)
     return Operator(data.space_plus, data.space_plus, entries)
 
 
-def greens(data: RGData, qcheck: Operator) -> tuple[Operator, Operator]:
-    """Background Green's operators (s, scheck) of this scale and the next.
-
-    ``qcheck`` does not depend on d, so one serves d and its adjoint.
-    """
-    qms = adjoint(data.q_minus)
-    s_entries = gated_inverse(
-        data.d.entries + qms.entries @ data.fq.entries @ data.q_minus.entries,
-        "d + q_minus* fq q_minus")
-    qcm = data.q @ data.q_minus
-    qcms = adjoint(qcm)
-    sc_entries = gated_inverse(
-        data.d.entries + qcms.entries @ qcheck.entries @ qcm.entries,
-        "d + qcm* qcheck qcm")
-    sm = data.space_minus
-    return Operator(sm, sm, s_entries), Operator(sm, sm, sc_entries)
-
-
-def delta_cov(data: RGData, s: Operator) -> tuple[Operator, Operator]:
-    """Fluctuation kernel delta and the covariance cov = (delta + b q*q)^{-1}."""
-    qm = data.q_minus.entries
-    qms = adjoint(data.q_minus).entries
+def _d_kernels(data: RGData, d: np.ndarray, qcheck: Operator) -> tuple[Operator, ...]:
+    """(s, scheck, delta, cov) built on ``d``, which is data.d or its adjoint."""
     fqe = data.fq.entries
-    delta_entries = fqe - fqe @ qm @ s.entries @ qms @ fqe
-    qs = adjoint(data.q).entries
-    cov_entries = gated_inverse(delta_entries + data.b * qs @ data.q.entries,
-                                "delta + b q*q")
-    mid = data.space_mid
-    return Operator(mid, mid, delta_entries), Operator(mid, mid, cov_entries)
+    qm = data.q_minus.entries
+    s = gated_inverse(d + data.qms @ fqe @ qm, "d + q_minus* fq q_minus")
+    scheck = gated_inverse(d + data.qcms @ qcheck.entries @ data.qcm, "d + qcm* qcheck qcm")
+    delta = fqe - fqe @ qm @ s @ data.qms @ fqe
+    cov = gated_inverse(delta + data.b * data.qs @ data.q.entries, "delta + b q*q")
+    sm, mid = data.space_minus, data.space_mid
+    return (Operator(sm, sm, s), Operator(sm, sm, scheck),
+            Operator(mid, mid, delta), Operator(mid, mid, cov))
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,8 +148,7 @@ class KernelSet:
 
 def build_kernels(data: RGData) -> KernelSet:
     qchk = qcheck_recursion(data)
-    s, scheck = greens(data, qchk)
-    delta, cov = delta_cov(data, s)
+    s, scheck, delta, cov = _d_kernels(data, data.d.entries, qchk)
     diagnostics = {
         "cond_fq": cond(data.fq),
         "cond_d": cond(data.d),
@@ -169,23 +183,16 @@ def starred_kernels(data: RGData, kernels: KernelSet | None = None
     """
     if kernels is None:
         kernels = build_kernels(data)
-    dstar = adjoint(data.d)
-    if dstar.entries.tobytes() == data.d.entries.tobytes():
+    if data.dstar.tobytes() == data.d.entries.tobytes():
         return kernels.s, kernels.scheck, kernels.delta, kernels.cov
-    data_star = RGData(data.space_minus, data.space_mid, data.space_plus,
-                       data.q_minus, data.q, data.b, data.fq, dstar)
-    s_star, scheck_star = greens(data_star, kernels.qcheck)
-    delta_star, cov_star = delta_cov(data_star, s_star)
-    return s_star, scheck_star, delta_star, cov_star
+    return _d_kernels(data, data.dstar, kernels.qcheck)
 
 
 def next_scale_delta(data: RGData, kernels: KernelSet) -> Operator:
     """The coarse-space analogue of delta one scale up:
     qcheck - qcheck qcm scheck qcm* qcheck."""
-    qcm = (data.q @ data.q_minus).entries
-    qcms = adjoint(data.q @ data.q_minus).entries
     qc = kernels.qcheck.entries
-    entries = qc - qc @ qcm @ kernels.scheck.entries @ qcms @ qc
+    entries = qc - qc @ data.qcm @ kernels.scheck.entries @ data.qcms @ qc
     return Operator(data.space_plus, data.space_plus, entries)
 
 
@@ -206,12 +213,7 @@ def identity_suite(data: RGData, kernels: KernelSet | None = None) -> dict[str, 
                           "d (invertibility assumption of the kernel identity suite)")
     b = data.b
     fq = data.fq.entries
-    qm = data.q_minus.entries
-    qms = adjoint(data.q_minus).entries
-    q = data.q.entries
-    qs = adjoint(data.q).entries
-    qcm = (data.q @ data.q_minus).entries
-    qcms = adjoint(data.q @ data.q_minus).entries
+    qm, qms, qs, qcms = data.q_minus.entries, data.qms, data.qs, data.qcms
     s = kernels.s.entries
     sc = kernels.scheck.entries
     delta = kernels.delta.entries
@@ -233,7 +235,7 @@ def identity_suite(data: RGData, kernels: KernelSet | None = None) -> dict[str, 
     res["b"] = rel_opnorm(s_from_delta - s, s)
 
     # (c) scheck from s and cov, in both resolvent and additive form
-    m = gate(fq + b * qs @ q, "fq + b q*q")
+    m = gate(data.crit_lhs, "fq + b q*q")
     inner = qms @ fq @ np.linalg.solve(m, fq @ qm)
     sc_inv = gate(data.d.entries + qms @ fq @ qm - inner,
                   "s^{-1} - q_minus* fq (fq + b q*q)^{-1} fq q_minus")

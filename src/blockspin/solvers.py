@@ -200,7 +200,7 @@ def verify_crit_representation(spec: ActionSpec, max_order: int = 4) -> dict:
     cr = fps_critical(spec, bg, max_order)
     cp = compose_cp(bg, cr, max_order)
     m = spec.mats
-    lhs_inv = gated_solve(m["crit_lhs"], np.eye(spec.rg.space_mid.dim), "b q*q + fq")
+    lhs_inv = spec.rg.crit_inv
     drive = spec.rg.b * lhs_inv @ m["qs"]
     rhs_star = tp.apply_matrix(lhs_inv @ m["fq_qm"], cp.starred.coeffs)
     rhs_unstar = tp.apply_matrix(lhs_inv @ m["fq_qm"], cp.unstarred.coeffs)
@@ -473,8 +473,7 @@ def delta_a_formula(spec: ActionSpec, theta_star, theta, dpsi_star, dpsi,
     smid = spec.rg.space_mid
     ds = components(dpsi_star)
     du = components(dpsi)
-    quad_form = m["delta"] + spec.rg.b * m["qs"] @ m["q"]
-    value = pairing(FieldVector(smid, ds), FieldVector(smid, quad_form @ du))
+    value = pairing(FieldVector(smid, ds), FieldVector(smid, m["cov_inv"] @ du))
     if spec.p.is_zero and increment_plus is None:
         return complex(value)
 

@@ -1,8 +1,11 @@
 """Action values, analytic gradients, and the preparation identity."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from blockspin import action, kernels, linalg
 from blockspin.action import (
     base_action,
     effective_action,
@@ -11,13 +14,14 @@ from blockspin.action import (
     grad_effective_action,
     grad_full_action,
     grad_next_action,
+    make_action_spec,
     next_action,
     preparation_check,
     psi_tilde,
 )
 from blockspin.linalg import FieldVector, components
 from blockspin.reference import scalar_reference_spec
-from conftest import general_spec, make_rng, random_field
+from conftest import general_data, general_spec, make_rng, random_field, random_poly
 
 
 def rng_for(tag: int) -> np.random.Generator:
@@ -204,3 +208,53 @@ def test_preparation_at_origin_is_exact():
     assert value_res == 0.0
     assert grad_res == 0.0
 
+
+
+# ---------------------------------------------------------------------------
+# each fixed map of a step is derived once
+
+
+def test_make_action_spec_takes_each_adjoint_once(monkeypatch):
+    rng = rng_for(9)
+    data = general_data(rng, (3, 2, 1))
+    p = random_poly(rng, data.space_minus, ((1, 2), (0, 3)))
+    taken = Counter()
+
+    def counting_adjoint(a):
+        taken[a.entries.tobytes()] += 1
+        return linalg.adjoint(a)
+
+    built = []
+    post_init = kernels.RGData.__post_init__
+
+    def counting_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    for module in (kernels, action):
+        monkeypatch.setattr(module, "adjoint", counting_adjoint)
+    monkeypatch.setattr(kernels.RGData, "__post_init__", counting_post_init)
+    make_action_spec(data, p)
+    maps = {"q_minus": data.q_minus, "q": data.q, "qcm": data.q @ data.q_minus, "d": data.d}
+    counts = {name: taken[op.entries.tobytes()] for name, op in maps.items()}
+    assert max(counts.values()) <= 1, counts
+    assert built == []
+
+
+def test_preparation_inverts_the_critical_operator_once(monkeypatch):
+    rng = rng_for(10)
+    spec = general_spec(rng, (3, 2, 1))
+    gated = Counter()
+    gate = linalg.gate
+
+    def counting_gate(mat, assumption):
+        gated[assumption] += 1
+        return gate(mat, assumption)
+
+    monkeypatch.setattr(linalg, "gate", counting_gate)
+    sp, sm = spec.rg.space_plus, spec.rg.space_minus
+    for _ in range(20):
+        preparation_check(spec, random_field(rng, sp, 0.5), random_field(rng, sp, 0.5),
+                          random_field(rng, sm, 0.5), random_field(rng, sm, 0.5))
+    # two psi_tilde solves per point, one inverse for the chain term
+    assert gated["b q*q + fq"] == 41

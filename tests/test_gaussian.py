@@ -295,3 +295,30 @@ def test_quadrature_mode_gates():
     with pytest.raises(BlockspinError, match="positive"):
         prop_d_quadrature_check(scalar_reference_spec(g=0.0), (-1.0, 1.0),
                                 nodes_per_axis=8)
+
+
+BAD_GRIDS = {
+    "fluct-radius-negative": ("fluct", {"radius": -1.0}, "radius"),
+    "fluct-radius-zero": ("fluct", {"radius": 0.0}, "radius"),
+    "fluct-radius-nan": ("fluct", {"radius": float("nan")}, "radius"),
+    "fluct-radius-inf": ("fluct", {"radius": float("inf")}, "radius"),
+    "fluct-nodes-zero": ("fluct", {"radius": 1.0, "nodes_per_axis": 0}, "nodes_per_axis"),
+    "fluct-nodes-float": ("fluct", {"radius": 1.0, "nodes_per_axis": 8.5}, "nodes_per_axis"),
+    "split-radius-nan": ("split", {"radii": (float("nan"), 1.0)}, r"radii\[0\]"),
+    "split-radius-inf": ("split", {"radii": (1.0, float("inf"))}, r"radii\[1\]"),
+    "split-nodes-zero": ("split", {"radii": (1.0, 1.0), "nodes_per_axis": 0},
+                         "nodes_per_axis"),
+    "split-nodes-negative": ("split", {"radii": (1.0, 1.0), "nodes_per_axis": -4},
+                             "nodes_per_axis"),
+}
+
+
+@pytest.mark.parametrize("entry, kwargs, name", BAD_GRIDS.values(), ids=BAD_GRIDS)
+def test_quadrature_grids_are_checked(entry, kwargs, name):
+    spec = scalar_reference_spec(g=0.05)
+    theta = np.array([0.3])
+    with pytest.raises(BlockspinError, match=name):
+        if entry == "fluct":
+            fluctuation_integral(spec, theta, theta, **kwargs)
+        else:
+            prop_d_quadrature_check(spec, kwargs.pop("radii"), **kwargs)
