@@ -287,13 +287,43 @@ def _critical_grid(sc: dict, pc: dict, theta_star, theta):
 
 def _coupling_rowsum(b: float, q: float, theta: np.ndarray, u: np.ndarray,
                      w_vals: np.ndarray) -> np.ndarray:
-    """sum_u exp(-b |theta_j - q u|^2) w_vals[u], chunked over theta rows."""
-    chunk = 256
+    """sum_u exp(-b |theta_j - q u|^2) w_vals[u], blocked over theta rows.
+
+    Blocks of at most ``rows`` theta rows reuse three preallocated
+    (rows, u.size) buffers, so a call allocates no array of the full grid's
+    size.  Each block runs the elementwise ufuncs of the dense form
+    ``np.exp(-b * np.abs(theta[:, None] - q u) ** 2) @ w_vals`` in the
+    same order and dtypes, on contiguous operands, with ``out=``.  The
+    kernel values then sit in the real part of a complex buffer whose
+    imaginary part stays zero, which is the (x, 0) cast that real @ complex
+    makes, so ``@`` runs the same zgemv.  A gemv row's bits do not depend
+    on how many rows share the call, but a one-row product takes numpy's
+    dot path instead, whose bits differ.  So the rows split into spans of
+    256, the dense form's chunks, and no span is cut so as to leave a
+    one-row block: only a span of one row gets one.
+    """
+    rows, span = 16, 256
     out = np.empty(theta.shape, dtype=complex)
     qu = q * u
-    for lo in range(0, theta.size, chunk):
-        blk = theta[lo:lo + chunk, None] - qu[None, :]
-        out[lo:lo + chunk] = np.exp(-b * np.abs(blk) ** 2) @ w_vals
+    shape = (min(rows, theta.size), u.size)
+    diff = np.empty(shape, dtype=complex)
+    mag = np.empty(shape)
+    kern = np.zeros(shape, dtype=complex)
+    lo = 0
+    while lo < theta.size:
+        end = min(lo - lo % span + span, theta.size)
+        hi = min(lo + rows, end)
+        if end - hi == 1:
+            hi -= 1
+        d, r, k = diff[:hi - lo], mag[:hi - lo], kern[:hi - lo]
+        np.subtract(theta[lo:hi, None], qu[None, :], out=d)
+        np.abs(d, out=r)
+        np.square(r, out=r)
+        np.multiply(-b, r, out=r)
+        np.exp(r, out=r)
+        k.real = r
+        np.matmul(k, w_vals, out=out[lo:hi])
+        lo = hi
     return out
 
 

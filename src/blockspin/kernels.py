@@ -41,7 +41,8 @@ class RGData:
 
     The fixed maps of the step are derived on first use and kept read-only:
     the adjoints qms, qs, qcms and dstar of q_minus, q, qcm = q q_minus and
-    d, crit_lhs = b q*q + fq and its gated inverse crit_inv.
+    d, qms_fq_qm = q_minus* fq q_minus, crit_lhs = b q*q + fq and its gated
+    inverse crit_inv.
     """
 
     space_minus: SpaceSpec
@@ -96,6 +97,11 @@ class RGData:
         return adjoint(self.d).entries
 
     @cached_property
+    def qms_fq_qm(self) -> np.ndarray:
+        m = (self.qms @ self.fq.entries) @ self.q_minus.entries
+        return Operator(self.space_minus, self.space_minus, m).entries
+
+    @cached_property
     def crit_lhs(self) -> np.ndarray:
         m = self.b * self.qs @ self.q.entries + self.fq.entries
         return Operator(self.space_mid, self.space_mid, m).entries
@@ -125,7 +131,7 @@ def _d_kernels(data: RGData, d: np.ndarray, qcheck: Operator) -> tuple[Operator,
     """(s, scheck, delta, cov) built on ``d``, which is data.d or its adjoint."""
     fqe = data.fq.entries
     qm = data.q_minus.entries
-    s = gated_inverse(d + data.qms @ fqe @ qm, "d + q_minus* fq q_minus")
+    s = gated_inverse(d + data.qms_fq_qm, "d + q_minus* fq q_minus")
     scheck = gated_inverse(d + data.qcms @ qcheck.entries @ data.qcm, "d + qcm* qcheck qcm")
     delta = fqe - fqe @ qm @ s @ data.qms @ fqe
     cov = gated_inverse(delta + data.b * data.qs @ data.q.entries, "delta + b q*q")

@@ -233,7 +233,7 @@ def background_residual(spec: ActionSpec, phi_star, phi, psi_star, psi
     m = spec.mats
     sm = spec.rg.space_minus
     fs, fu = components(phi_star), components(phi)
-    core = m["qms_fq"] @ m["qm"]
+    core = spec.rg.qms_fq_qm
     g_star, g_unstar = grad_base_action(spec, phi_star, phi)
     r_star = core @ fs + g_unstar.components - m["qms_fq"] @ components(psi_star)
     r_unstar = core @ fu + g_star.components - m["qms_fq"] @ components(psi)
@@ -243,7 +243,7 @@ def background_residual(spec: ActionSpec, phi_star, phi, psi_star, psi
 def _background_jacobian(spec: ActionSpec, fs: np.ndarray, fu: np.ndarray) -> np.ndarray:
     m = spec.mats
     dm = spec.rg.space_minus.dim
-    core = m["qms_fq"] @ m["qm"]
+    core = spec.rg.qms_fq_qm
     ju_s, ju_u = tp.jacobians(spec.p.grad_unstar_coeffs(), fs, fu, dm, dm)
     js_s, js_u = tp.jacobians(spec.p.grad_star_coeffs(), fs, fu, dm, dm)
     return np.block([

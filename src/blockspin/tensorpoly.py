@@ -56,13 +56,21 @@ def symmetry_defect(t: np.ndarray, kstar: int, k: int, leading_axes: int = 1) ->
     return float(np.abs(t - s).max(initial=0.0)) / scale
 
 
+def _dot_last(t: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Contract the last axis of ``t`` with the vector ``v``: the same
+    ``np.dot`` call on the same views that ``np.tensordot(t, v, axes=([t.ndim
+    - 1], [0]))`` makes, without its axis bookkeeping."""
+    n = v.shape[0]
+    return np.dot(t.reshape(-1, n), v.reshape(n, 1)).reshape(t.shape[:-1])
+
+
 def contract_all(t: np.ndarray, kstar: int, k: int, ustar: np.ndarray, u: np.ndarray,
                  leading_axes: int = 1):
     """Plug ustar into every starred slot and u into every unstarred one."""
     for _ in range(k):
-        t = np.tensordot(t, u, axes=([t.ndim - 1], [0]))
+        t = _dot_last(t, u)
     for _ in range(kstar):
-        t = np.tensordot(t, ustar, axes=([t.ndim - 1], [0]))
+        t = _dot_last(t, ustar)
     return t if leading_axes else complex(t)
 
 
@@ -94,7 +102,7 @@ def jacobians(coeffs: dict, ustar: np.ndarray, u: np.ndarray, out_dim: int,
         if b >= 1:
             m = t
             for _ in range(b - 1):
-                m = np.tensordot(m, u, axes=([m.ndim - 1], [0]))
+                m = _dot_last(m, u)
             for _ in range(a):
                 m = np.tensordot(m, ustar, axes=([1], [0]))
             j_u += b * m
@@ -114,7 +122,7 @@ def shift_map(coeffs: dict, base_star: np.ndarray, base: np.ndarray) -> dict:
         t = coeffs[(a, b)]
         for j in range(b, -1, -1):
             if j < b:
-                t = np.tensordot(t, base, axes=([t.ndim - 1], [0]))
+                t = _dot_last(t, base)
             t_star = t
             for i in range(a, -1, -1):
                 if i < a:

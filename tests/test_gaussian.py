@@ -1,13 +1,16 @@
 """Gaussian identities: exact values against real quadrature oracles, the
 determinant split, and the disc-quadrature cross-check of the one-step split."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from blockspin.errors import BlockspinError, QuadratureError, SpaceMismatchError
-from blockspin.gaussian import (fluctuation_integral, gaussian_exact,
-                                gaussian_source_exact, insertion_constant,
-                                prop_d_gaussian_check, prop_d_quadrature_check)
+from blockspin.gaussian import (_coupling_rowsum, _polar_grid, fluctuation_integral,
+                                gaussian_exact, gaussian_source_exact,
+                                insertion_constant, prop_d_gaussian_check,
+                                prop_d_quadrature_check)
 from blockspin.kernels import RGData
 from blockspin.linalg import FieldVector, Operator, SpaceSpec
 from blockspin.reference import scalar_reference_data, scalar_reference_spec
@@ -295,6 +298,48 @@ def test_quadrature_mode_gates():
     with pytest.raises(BlockspinError, match="positive"):
         prop_d_quadrature_check(scalar_reference_spec(g=0.0), (-1.0, 1.0),
                                 nodes_per_axis=8)
+
+
+def dense_coupling_rowsum(b, q, theta, u, w_vals):
+    """The unblocked coupling sum in 256-row chunks, the bit-level oracle."""
+    chunk = 256
+    out = np.empty(theta.shape, dtype=complex)
+    qu = q * u
+    for lo in range(0, theta.size, chunk):
+        blk = theta[lo:lo + chunk, None] - qu[None, :]
+        out[lo:lo + chunk] = np.exp(-b * np.abs(blk) ** 2) @ w_vals
+    return out
+
+
+def coupling_inputs(n_u, n_theta):
+    u, w_u = _polar_grid(0.0, 2.0, n_u, n_u)
+    w_vals = w_u * np.exp(-np.abs(u) ** 2 + 0.3j * u.real)
+    theta, _ = _polar_grid(0.0, 2.5, n_theta, n_theta)
+    return theta, u, w_vals
+
+
+@pytest.mark.parametrize("b", [1.0, 1.7])
+@pytest.mark.parametrize("q", [1.0, 0.6])
+def test_coupling_rowsum_matches_dense_sum(b, q):
+    # 257 and 513 leave the dense sum a one-row chunk, whose product takes
+    # numpy's dot path rather than gemv
+    theta, u, w_vals = coupling_inputs(32, 64)
+    for size in (1, 2, 17, 33, 255, 256, 257, 513, 4096):
+        got = _coupling_rowsum(b, q, theta[:size], u, w_vals)
+        want = dense_coupling_rowsum(b, q, theta[:size], u, w_vals)
+        assert got.tobytes() == want.tobytes(), size
+
+
+def test_coupling_rowsum_has_no_full_size_temporaries():
+    # the dense sum's (256, 96^2) temporaries trace at about 95 MB
+    theta, u, w_vals = coupling_inputs(96, 96)
+    tracemalloc.start()
+    try:
+        _coupling_rowsum(1.3, 0.8, theta, u, w_vals)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 BAD_GRIDS = {
