@@ -14,7 +14,7 @@ from .errors import (BlockspinError, ConfigError, ConvergenceError,
                      NearSingularError, QuadratureError, SpaceMismatchError)
 from .linalg import (FieldVector, Operator, SpaceSpec, adjoint, components,
                      cond, form_asymmetry, gated_inverse, gated_solve,
-                     pairing, rel_opnorm, solve, woodbury_left, woodbury_right)
+                     pairing, rel_opnorm, woodbury_left, woodbury_right)
 from .lattice import (BlockScheme, TorusLattice, TowerLevel,
                       averaging_operator, build_tower, sublattice)
 from .kernels import (KernelSet, RGData, build_kernels, identity_suite,

@@ -17,18 +17,12 @@ relevant space, so every gradient is again a field vector there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import KernelSet, RGData, build_kernels, starred_kernels
-from .linalg import (
-    FieldVector,
-    adjoint,
-    components,
-    gated_solve,
-    pairing,
-)
+from .kernels import KernelSet, RGData, build_kernels
+from .linalg import FieldVector, components, gated_solve, pairing
 from .poly import PolynomialP, eval_p_and_grads
 
 
@@ -36,18 +30,20 @@ from .poly import PolynomialP, eval_p_and_grads
 class ActionSpec:
     """RG data plus the interaction polynomial plus the derived kernels.
 
-    The precomputed matrix table keeps the hot paths free of repeated
-    adjoint computations; everything in it follows from rg and kernels.
+    The fixed maps of the step live on ``rg`` and the kernels on
+    ``kernels``.  The starred kernels are built here, so a step whose
+    adjoint-of-d kernels fail a conditioning gate is rejected at
+    construction.
     """
 
     rg: RGData
     p: PolynomialP
     kernels: KernelSet
-    mats: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         self.p.space.require_compatible(self.rg.space_minus, "interaction polynomial")
-        object.__setattr__(self, "mats", _matrix_table(self.rg, self.kernels))
+        # derive the starred kernels now, so their gates reject an ill-posed step here
+        self.kernels.s_star
 
     @property
     def spaces(self):
@@ -60,23 +56,6 @@ def make_action_spec(rg: RGData, p: PolynomialP | None = None) -> ActionSpec:
     return ActionSpec(rg, p, build_kernels(rg))
 
 
-def _matrix_table(rg: RGData, ks: KernelSet) -> dict:
-    s_star, scheck_star, delta_star, cov_star = starred_kernels(rg, ks)
-    return {
-        "qm": rg.q_minus.entries, "q": rg.q.entries, "qms": rg.qms, "qs": rg.qs,
-        "qcm": rg.qcm, "qcms": rg.qcms, "fq": rg.fq.entries, "d": rg.d.entries, "dstar": rg.dstar,
-        "qc": ks.qcheck.entries, "qc_star": adjoint(ks.qcheck).entries,
-        "s": ks.s.entries, "s_star": s_star.entries,
-        "scheck": ks.scheck.entries, "scheck_star": scheck_star.entries,
-        "delta": ks.delta.entries, "delta_star": delta_star.entries,
-        "cov": ks.cov.entries, "cov_star": cov_star.entries,
-        "cov_inv": ks.delta.entries + rg.b * rg.qs @ rg.q.entries,
-        "crit_lhs": rg.crit_lhs,
-        "fq_qm": rg.fq.entries @ rg.q_minus.entries,
-        "qms_fq": rg.qms @ rg.fq.entries,
-    }
-
-
 def base_action(spec: ActionSpec, phi_star, phi) -> complex:
     rg = spec.rg
     val = pairing(FieldVector(rg.space_minus, components(phi_star)),
@@ -86,88 +65,89 @@ def base_action(spec: ActionSpec, phi_star, phi) -> complex:
 
 def full_action(spec: ActionSpec, psi_star, psi, phi_star, phi) -> complex:
     rg = spec.rg
-    r_star = components(psi_star) - spec.mats["qm"] @ components(phi_star)
-    r = components(psi) - spec.mats["qm"] @ components(phi)
-    fluct = r_star @ rg.space_mid.gram @ (spec.mats["fq"] @ r)
+    r_star = components(psi_star) - rg.q_minus.entries @ components(phi_star)
+    r = components(psi) - rg.q_minus.entries @ components(phi)
+    fluct = r_star @ rg.space_mid.gram @ (rg.fq.entries @ r)
     return complex(fluct) + base_action(spec, phi_star, phi)
 
 
 def effective_action(spec: ActionSpec, theta_star, theta, psi_star, psi,
                      phi_star, phi) -> complex:
     rg = spec.rg
-    t_star = components(theta_star) - spec.mats["q"] @ components(psi_star)
-    t = components(theta) - spec.mats["q"] @ components(psi)
+    t_star = components(theta_star) - rg.q.entries @ components(psi_star)
+    t = components(theta) - rg.q.entries @ components(psi)
     coarse = rg.b * (t_star @ rg.space_plus.gram @ t)
     return complex(coarse) + full_action(spec, psi_star, psi, phi_star, phi)
 
 
 def next_action(spec: ActionSpec, theta_star, theta, phi_star, phi) -> complex:
     rg = spec.rg
-    t_star = components(theta_star) - spec.mats["qcm"] @ components(phi_star)
-    t = components(theta) - spec.mats["qcm"] @ components(phi)
-    coarse = t_star @ rg.space_plus.gram @ (spec.mats["qc"] @ t)
+    t_star = components(theta_star) - rg.qcm @ components(phi_star)
+    t = components(theta) - rg.qcm @ components(phi)
+    coarse = t_star @ rg.space_plus.gram @ (spec.kernels.qcheck.entries @ t)
     return complex(coarse) + base_action(spec, phi_star, phi)
 
 
 def grad_base_action(spec: ActionSpec, phi_star, phi) -> tuple[FieldVector, FieldVector]:
     """(grad wrt phi_star, grad wrt phi) of the base action."""
     _, d_phi, d_phi_star = eval_p_and_grads(spec.p, phi_star, phi)
-    sm = spec.rg.space_minus
-    wrt_star = FieldVector(sm, spec.mats["d"] @ components(phi) + d_phi_star.components)
-    wrt_unstar = FieldVector(sm, spec.mats["dstar"] @ components(phi_star) + d_phi.components)
+    rg = spec.rg
+    wrt_star = FieldVector(rg.space_minus, rg.d.entries @ components(phi) + d_phi_star.components)
+    wrt_unstar = FieldVector(rg.space_minus, rg.dstar @ components(phi_star) + d_phi.components)
     return wrt_star, wrt_unstar
 
 
 def grad_full_action(spec: ActionSpec, psi_star, psi, phi_star, phi) -> dict:
     """Gradients with respect to all four arguments, keyed by name."""
-    m = spec.mats
+    rg = spec.rg
     sm, smid, _ = spec.spaces
     ps, pu = components(psi_star), components(psi)
     fs, fu = components(phi_star), components(phi)
-    r_star = ps - m["qm"] @ fs
-    r = pu - m["qm"] @ fu
+    r_star = ps - rg.q_minus.entries @ fs
+    r = pu - rg.q_minus.entries @ fu
     g_star, g_unstar = grad_base_action(spec, phi_star, phi)
     return {
-        "psi_star": FieldVector(smid, m["fq"] @ r),
-        "psi": FieldVector(smid, m["fq"] @ r_star),
-        "phi_star": FieldVector(sm, -m["qms_fq"] @ r + g_star.components),
-        "phi": FieldVector(sm, -m["qms_fq"] @ r_star + g_unstar.components),
+        "psi_star": FieldVector(smid, rg.fq.entries @ r),
+        "psi": FieldVector(smid, rg.fq.entries @ r_star),
+        "phi_star": FieldVector(sm, -rg.qms_fq @ r + g_star.components),
+        "phi": FieldVector(sm, -rg.qms_fq @ r_star + g_unstar.components),
     }
 
 
 def grad_effective_action(spec: ActionSpec, theta_star, theta, psi_star, psi,
                           phi_star, phi) -> dict:
-    m = spec.mats
-    b = spec.rg.b
+    rg = spec.rg
+    b = rg.b
     sm, smid, sp = spec.spaces
     ts, tu = components(theta_star), components(theta)
     ps, pu = components(psi_star), components(psi)
-    t_star = ts - m["q"] @ ps
-    t = tu - m["q"] @ pu
+    t_star = ts - rg.q.entries @ ps
+    t = tu - rg.q.entries @ pu
     inner = grad_full_action(spec, psi_star, psi, phi_star, phi)
     return {
         "theta_star": FieldVector(sp, b * t),
         "theta": FieldVector(sp, b * t_star),
-        "psi_star": FieldVector(smid, -b * m["qs"] @ t + inner["psi_star"].components),
-        "psi": FieldVector(smid, -b * m["qs"] @ t_star + inner["psi"].components),
+        "psi_star": FieldVector(smid, -b * rg.qs @ t + inner["psi_star"].components),
+        "psi": FieldVector(smid, -b * rg.qs @ t_star + inner["psi"].components),
         "phi_star": inner["phi_star"],
         "phi": inner["phi"],
     }
 
 
 def grad_next_action(spec: ActionSpec, theta_star, theta, phi_star, phi) -> dict:
-    m = spec.mats
+    rg = spec.rg
+    qc, qc_star = spec.kernels.qcheck.entries, spec.kernels.qc_star.entries
     sm, _, sp = spec.spaces
     ts, tu = components(theta_star), components(theta)
     fs, fu = components(phi_star), components(phi)
-    t_star = ts - m["qcm"] @ fs
-    t = tu - m["qcm"] @ fu
+    t_star = ts - rg.qcm @ fs
+    t = tu - rg.qcm @ fu
     g_star, g_unstar = grad_base_action(spec, phi_star, phi)
     return {
-        "theta_star": FieldVector(sp, m["qc"] @ t),
-        "theta": FieldVector(sp, m["qc_star"] @ t_star),
-        "phi_star": FieldVector(sm, -m["qcms"] @ m["qc"] @ t + g_star.components),
-        "phi": FieldVector(sm, -m["qcms"] @ m["qc_star"] @ t_star + g_unstar.components),
+        "theta_star": FieldVector(sp, qc @ t),
+        "theta": FieldVector(sp, qc_star @ t_star),
+        "phi_star": FieldVector(sm, -rg.qcms @ qc @ t + g_star.components),
+        "phi": FieldVector(sm, -rg.qcms @ qc_star @ t_star + g_unstar.components),
     }
 
 
@@ -177,10 +157,10 @@ def psi_tilde(spec: ActionSpec, theta, phi) -> FieldVector:
 
     The same formula serves the starred pair; pass starred inputs to get it.
     """
-    m = spec.mats
-    rhs = spec.rg.b * m["qs"] @ components(theta) + m["fq_qm"] @ components(phi)
-    out = gated_solve(m["crit_lhs"], rhs, "b q*q + fq")
-    return FieldVector(spec.rg.space_mid, out)
+    rg = spec.rg
+    rhs = rg.b * rg.qs @ components(theta) + rg.fq_qm @ components(phi)
+    out = gated_solve(rg.crit_lhs, rhs, "b q*q + fq")
+    return FieldVector(rg.space_mid, out)
 
 
 def preparation_check(spec: ActionSpec, theta_star, theta, phi_star, phi
@@ -202,8 +182,7 @@ def preparation_check(spec: ActionSpec, theta_star, theta, phi_star, phi
     g_next = grad_next_action(spec, theta_star, theta, phi_star, phi)
     g_full = grad_full_action(spec, pt_star, pt, phi_star, phi)
     g_eff = grad_effective_action(spec, theta_star, theta, pt_star, pt, phi_star, phi)
-    m = spec.mats
-    chain = m["qms_fq"] @ spec.rg.crit_inv
+    chain = spec.rg.qms_fq @ spec.rg.crit_inv
     res = 0.0
     scale = 1.0
     for slot, eff_slot in (("phi_star", "psi_star"), ("phi", "psi")):

@@ -137,8 +137,11 @@ def _scalar_setup(spec: ActionSpec) -> tuple[dict, dict]:
                      ("space_plus", rg.space_plus)):
         if not np.allclose(sp.gram, np.eye(sp.dim), atol=1e-15):
             raise BlockspinError(f"quadrature mode needs the identity form on {name}")
-    names = ("qm", "q", "fq", "d", "qc", "qcm", "s", "cov", "delta")
-    raw = {k: complex(spec.mats[k][0, 0]) for k in names}
+    ks = spec.kernels
+    maps = {"qm": rg.q_minus.entries, "q": rg.q.entries, "fq": rg.fq.entries,
+            "d": rg.d.entries, "qc": ks.qcheck.entries, "qcm": rg.qcm,
+            "s": ks.s.entries, "cov": ks.cov.entries, "delta": ks.delta.entries}
+    raw = {k: complex(m[0, 0]) for k, m in maps.items()}
     for k, v in raw.items():
         if abs(v.imag) > 1e-14:
             raise BlockspinError(
@@ -423,7 +426,7 @@ def fluctuation_integral(spec: ActionSpec, theta_star, theta,
             raise BlockspinError(
                 "whole-space mode is exact only for P = 0; pass a radius to "
                 "integrate the interacting increment")
-        _require_positive(spec.rg.space_mid, spec.mats["cov_inv"], "fluctuation form cov^{-1}")
+        _require_positive(spec.rg.space_mid, spec.kernels.cov_inv.entries, "fluctuation form cov^{-1}")
         return complex(np.linalg.det(spec.kernels.cov.entries))
     if increment not in ("direct", "formula"):
         raise BlockspinError(f"unknown increment evaluator {increment!r}")

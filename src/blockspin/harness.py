@@ -639,7 +639,7 @@ def _suite_delta_a(cfg: ScenarioConfig) -> SuiteResult:
         ds = unit_field(rng, free.rg.space_mid, 0.1)
         du = unit_field(rng, free.rg.space_mid, 0.1)
         direct = delta_a_direct(free, ts, tu, ds, du)
-        want = pairing(ds, FieldVector(free.rg.space_mid, free.mats["cov_inv"] @ du.components))
+        want = pairing(ds, free.kernels.cov_inv.apply(du))
         worst_free = max(worst_free, abs(direct - want))
     return SuiteResult("deltaA", [
         Check.within("formula-vs-direct", worst, cfg.tolerance("deltaA"),

@@ -41,8 +41,8 @@ class RGData:
 
     The fixed maps of the step are derived on first use and kept read-only:
     the adjoints qms, qs, qcms and dstar of q_minus, q, qcm = q q_minus and
-    d, qms_fq_qm = q_minus* fq q_minus, crit_lhs = b q*q + fq and its gated
-    inverse crit_inv.
+    d, fq_qm = fq q_minus, qms_fq = q_minus* fq, qms_fq_qm = q_minus* fq
+    q_minus, crit_lhs = b q*q + fq and its gated inverse crit_inv.
     """
 
     space_minus: SpaceSpec
@@ -97,8 +97,18 @@ class RGData:
         return adjoint(self.d).entries
 
     @cached_property
+    def fq_qm(self) -> np.ndarray:
+        m = self.fq.entries @ self.q_minus.entries
+        return Operator(self.space_minus, self.space_mid, m).entries
+
+    @cached_property
+    def qms_fq(self) -> np.ndarray:
+        m = self.qms @ self.fq.entries
+        return Operator(self.space_mid, self.space_minus, m).entries
+
+    @cached_property
     def qms_fq_qm(self) -> np.ndarray:
-        m = (self.qms @ self.fq.entries) @ self.q_minus.entries
+        m = self.qms_fq @ self.q_minus.entries
         return Operator(self.space_minus, self.space_minus, m).entries
 
     @cached_property
@@ -128,33 +138,67 @@ def qcheck_alt(data: RGData) -> Operator:
 
 
 def _d_kernels(data: RGData, d: np.ndarray, qcheck: Operator) -> tuple[Operator, ...]:
-    """(s, scheck, delta, cov) built on ``d``, which is data.d or its adjoint."""
+    """(s, scheck, delta, cov_inv, cov) built on ``d``, which is data.d or
+    its adjoint; cov_inv = delta + b q*q is the form inverted into cov."""
     fqe = data.fq.entries
     qm = data.q_minus.entries
     s = gated_inverse(d + data.qms_fq_qm, "d + q_minus* fq q_minus")
     scheck = gated_inverse(d + data.qcms @ qcheck.entries @ data.qcm, "d + qcm* qcheck qcm")
     delta = fqe - fqe @ qm @ s @ data.qms @ fqe
-    cov = gated_inverse(delta + data.b * data.qs @ data.q.entries, "delta + b q*q")
+    cov_inv = delta + data.b * data.qs @ data.q.entries
+    cov = gated_inverse(cov_inv, "delta + b q*q")
     sm, mid = data.space_minus, data.space_mid
-    return (Operator(sm, sm, s), Operator(sm, sm, scheck),
-            Operator(mid, mid, delta), Operator(mid, mid, cov))
+    return (Operator(sm, sm, s), Operator(sm, sm, scheck), Operator(mid, mid, delta),
+            Operator(mid, mid, cov_inv), Operator(mid, mid, cov))
 
 
 @dataclass(frozen=True, eq=False)
 class KernelSet:
-    """All derived kernels of one step, plus conditioning diagnostics."""
+    """All derived kernels of one step, plus conditioning diagnostics.
 
+    cov_inv = delta + b q*q is the form inverted into cov.  The starred
+    kernels s_star, scheck_star, delta_star and cov_star (built on the
+    adjoint of d, see ``starred_kernels``) and qc_star, the adjoint of
+    qcheck, are derived from ``rg`` on first use and kept.
+    """
+
+    rg: RGData = field(repr=False)
     qcheck: Operator
     s: Operator
     scheck: Operator
     delta: Operator
+    cov_inv: Operator
     cov: Operator
     diagnostics: dict = field(default_factory=dict)
+
+    @cached_property
+    def _starred(self) -> tuple[Operator, Operator, Operator, Operator]:
+        return starred_kernels(self.rg, self)
+
+    @property
+    def s_star(self) -> Operator:
+        return self._starred[0]
+
+    @property
+    def scheck_star(self) -> Operator:
+        return self._starred[1]
+
+    @property
+    def delta_star(self) -> Operator:
+        return self._starred[2]
+
+    @property
+    def cov_star(self) -> Operator:
+        return self._starred[3]
+
+    @cached_property
+    def qc_star(self) -> Operator:
+        return adjoint(self.qcheck)
 
 
 def build_kernels(data: RGData) -> KernelSet:
     qchk = qcheck_recursion(data)
-    s, scheck, delta, cov = _d_kernels(data, data.d.entries, qchk)
+    s, scheck, delta, cov_inv, cov = _d_kernels(data, data.d.entries, qchk)
     diagnostics = {
         "cond_fq": cond(data.fq),
         "cond_d": cond(data.d),
@@ -164,7 +208,7 @@ def build_kernels(data: RGData) -> KernelSet:
         "cond_delta": cond(delta),
         "cond_cov": cond(cov),
     }
-    ks = KernelSet(qchk, s, scheck, delta, cov, diagnostics)
+    ks = KernelSet(data, qchk, s, scheck, delta, cov_inv, cov, diagnostics)
     asym = form_asymmetry(qchk)
     if asym > 1e-11:
         raise BlockspinError(
@@ -191,7 +235,8 @@ def starred_kernels(data: RGData, kernels: KernelSet | None = None
         kernels = build_kernels(data)
     if data.dstar.tobytes() == data.d.entries.tobytes():
         return kernels.s, kernels.scheck, kernels.delta, kernels.cov
-    return _d_kernels(data, data.dstar, kernels.qcheck)
+    s, scheck, delta, _, cov = _d_kernels(data, data.dstar, kernels.qcheck)
+    return s, scheck, delta, cov
 
 
 def next_scale_delta(data: RGData, kernels: KernelSet) -> Operator:
@@ -256,9 +301,8 @@ def identity_suite(data: RGData, kernels: KernelSet | None = None) -> dict[str, 
     res["d"] = rel_opnorm(cov_add - cv, cv)
 
     # (e) leading coefficient of the critical step, unstarred and starred
-    s_star, scheck_star, _, cov_star = starred_kernels(data, kernels)
     e_res = []
-    for cvx, scx in ((cv, sc), (cov_star.entries, scheck_star.entries)):
+    for cvx, scx in ((cv, sc), (kernels.cov_star.entries, kernels.scheck_star.entries)):
         lhs = b * cvx @ qs
         rhs = np.linalg.solve(m, b * qs + fq @ qm @ scx @ qcms @ qc)
         e_res.append(rel_opnorm(lhs - rhs, lhs))

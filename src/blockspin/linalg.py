@@ -67,20 +67,6 @@ class FieldVector:
             )
         object.__setattr__(self, "components", c)
 
-    def __add__(self, other: "FieldVector") -> "FieldVector":
-        self.space.require_compatible(other.space, "vector sum")
-        return FieldVector(self.space, self.components + other.components)
-
-    def __sub__(self, other: "FieldVector") -> "FieldVector":
-        self.space.require_compatible(other.space, "vector difference")
-        return FieldVector(self.space, self.components - other.components)
-
-    def __rmul__(self, scalar) -> "FieldVector":
-        return FieldVector(self.space, complex(scalar) * self.components)
-
-    def __neg__(self) -> "FieldVector":
-        return FieldVector(self.space, -self.components)
-
 
 def components(x) -> np.ndarray:
     """Accept a FieldVector or anything array-like, return a complex 1-d array."""
@@ -124,21 +110,10 @@ class Operator:
         self.domain.require_compatible(other.codomain, "operator composition")
         return Operator(other.domain, self.codomain, self.entries @ other.entries)
 
-    def __add__(self, other: "Operator") -> "Operator":
-        self.domain.require_compatible(other.domain, "operator sum")
-        self.codomain.require_compatible(other.codomain, "operator sum")
-        return Operator(self.domain, self.codomain, self.entries + other.entries)
-
     def __sub__(self, other: "Operator") -> "Operator":
         self.domain.require_compatible(other.domain, "operator difference")
         self.codomain.require_compatible(other.codomain, "operator difference")
         return Operator(self.domain, self.codomain, self.entries - other.entries)
-
-    def __rmul__(self, scalar) -> "Operator":
-        return Operator(self.domain, self.codomain, complex(scalar) * self.entries)
-
-    def __neg__(self) -> "Operator":
-        return Operator(self.domain, self.codomain, -self.entries)
 
 
 def pairing(u, v) -> complex:
@@ -193,15 +168,6 @@ def gated_solve(mat: np.ndarray, rhs: np.ndarray, assumption: str = "operator") 
 
 def gated_inverse(mat: np.ndarray, assumption: str = "operator") -> np.ndarray:
     return gated_solve(mat, np.eye(mat.shape[0]), assumption)
-
-
-def solve(a: Operator, rhs, assumption: str | None = None) -> FieldVector:
-    """Solve A x = rhs for a square operator, gated on cond(A)."""
-    a.domain.require_compatible(a.codomain, "solve")
-    if isinstance(rhs, FieldVector):
-        a.codomain.require_compatible(rhs.space, "solve right-hand side")
-    x = gated_solve(a.entries, components(rhs), assumption or "operator")
-    return FieldVector(a.domain, x)
 
 
 def rel_opnorm(diff, ref) -> float:

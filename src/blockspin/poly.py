@@ -59,12 +59,6 @@ class PolynomialP:
     def is_zero(self) -> bool:
         return not self.monomials
 
-    @property
-    def max_degree(self) -> int:
-        if not self.monomials:
-            return 0
-        return max(a + b for a, b in self.monomials)
-
     def value(self, phi_star, phi) -> complex:
         return complex(tp.eval_map(self.monomials, components(phi_star),
                                    components(phi), self.space.dim, leading_axes=0))

@@ -61,36 +61,38 @@ def _background_system(spec: ActionSpec, g_unstar_map: dict | None = None,
     """The background equation; the starred member is driven by the
     unstarred-slot gradient and vice versa.  Custom gradient maps (with
     linear parts) re-center it around a solved point."""
-    m = spec.mats
+    rg, ks = spec.rg, spec.kernels
     if g_unstar_map is None:
         g_unstar_map = spec.p.grad_unstar_coeffs()
     if g_star_map is None:
         g_star_map = spec.p.grad_star_coeffs()
-    return _GradedSystem(np.eye(spec.rg.space_minus.dim),
-                         m["s_star"] @ m["qms_fq"], m["s"] @ m["qms_fq"],
-                         -m["s_star"], -m["s"], g_unstar_map, g_star_map,
-                         spec.rg.space_mid, spec.rg.space_minus)
+    s_star, s = ks.s_star.entries, ks.s.entries
+    return _GradedSystem(np.eye(rg.space_minus.dim),
+                         s_star @ rg.qms_fq, s @ rg.qms_fq,
+                         -s_star, -s, g_unstar_map, g_star_map,
+                         rg.space_mid, rg.space_minus)
 
 
 def _nextscale_system(spec: ActionSpec) -> _GradedSystem:
     """The background equation one scale up: s -> scheck, qm* fq -> qcm* qcheck."""
-    m = spec.mats
+    rg, ks = spec.rg, spec.kernels
+    scheck_star, scheck, qc = ks.scheck_star.entries, ks.scheck.entries, ks.qcheck.entries
     # qcheck is form-symmetric, so the starred drive uses the same matrix
-    return _GradedSystem(np.eye(spec.rg.space_minus.dim),
-                         m["scheck_star"] @ m["qcms"] @ m["qc"],
-                         m["scheck"] @ m["qcms"] @ m["qc"],
-                         -m["scheck_star"], -m["scheck"],
+    return _GradedSystem(np.eye(rg.space_minus.dim),
+                         scheck_star @ rg.qcms @ qc,
+                         scheck @ rg.qcms @ qc,
+                         -scheck_star, -scheck,
                          spec.p.grad_unstar_coeffs(), spec.p.grad_star_coeffs(),
-                         spec.rg.space_plus, spec.rg.space_minus)
+                         rg.space_plus, rg.space_minus)
 
 
 def _critical_system(spec: ActionSpec, background: SeriesPair) -> _GradedSystem:
     """The critical equation, with the background series as its outer map."""
-    m = spec.mats
-    drive = spec.rg.b * m["qs"]
-    return _GradedSystem(m["crit_lhs"], drive, drive, m["fq_qm"], m["fq_qm"],
+    rg = spec.rg
+    drive = rg.b * rg.qs
+    return _GradedSystem(rg.crit_lhs, drive, drive, rg.fq_qm, rg.fq_qm,
                          background.starred.coeffs, background.unstarred.coeffs,
-                         spec.rg.space_plus, spec.rg.space_mid)
+                         rg.space_plus, rg.space_mid)
 
 
 def _paired_block_solve(block: np.ndarray, k_star: np.ndarray, k_unstar: np.ndarray,
@@ -199,20 +201,20 @@ def verify_crit_representation(spec: ActionSpec, max_order: int = 4) -> dict:
     bg = fps_background(spec, max_order)
     cr = fps_critical(spec, bg, max_order)
     cp = compose_cp(bg, cr, max_order)
-    m = spec.mats
-    lhs_inv = spec.rg.crit_inv
-    drive = spec.rg.b * lhs_inv @ m["qs"]
-    rhs_star = tp.apply_matrix(lhs_inv @ m["fq_qm"], cp.starred.coeffs)
-    rhs_unstar = tp.apply_matrix(lhs_inv @ m["fq_qm"], cp.unstarred.coeffs)
+    rg, ks = spec.rg, spec.kernels
+    lhs_inv = rg.crit_inv
+    drive = rg.b * lhs_inv @ rg.qs
+    rhs_star = tp.apply_matrix(lhs_inv @ rg.fq_qm, cp.starred.coeffs)
+    rhs_unstar = tp.apply_matrix(lhs_inv @ rg.fq_qm, cp.unstarred.coeffs)
     tp.add_into(rhs_star, (1, 0), drive.astype(complex))
     tp.add_into(rhs_unstar, (0, 1), drive.astype(complex))
-    sp, smid = spec.rg.space_plus, spec.rg.space_mid
+    sp, smid = rg.space_plus, rg.space_mid
     res_star = series_difference_norms(
         cr.starred, FormalSeries(sp, smid, max_order, rhs_star))
     res_unstar = series_difference_norms(
         cr.unstarred, FormalSeries(sp, smid, max_order, rhs_unstar))
-    lead_star = cr.starred.coefficient(1, 0) - spec.rg.b * m["cov_star"] @ m["qs"]
-    lead_unstar = cr.unstarred.coefficient(0, 1) - spec.rg.b * m["cov"] @ m["qs"]
+    lead_star = cr.starred.coefficient(1, 0) - rg.b * ks.cov_star.entries @ rg.qs
+    lead_unstar = cr.unstarred.coefficient(0, 1) - rg.b * ks.cov.entries @ rg.qs
     worst = max([*res_star.values(), *res_unstar.values()], default=0.0)
     return {
         "max_residual": worst,
@@ -230,45 +232,47 @@ def verify_crit_representation(spec: ActionSpec, max_order: int = 4) -> dict:
 def background_residual(spec: ActionSpec, phi_star, phi, psi_star, psi
                         ) -> tuple[FieldVector, FieldVector]:
     """Residual pair of the fine-space stationarity equations."""
-    m = spec.mats
-    sm = spec.rg.space_minus
+    rg = spec.rg
     fs, fu = components(phi_star), components(phi)
-    core = spec.rg.qms_fq_qm
     g_star, g_unstar = grad_base_action(spec, phi_star, phi)
-    r_star = core @ fs + g_unstar.components - m["qms_fq"] @ components(psi_star)
-    r_unstar = core @ fu + g_star.components - m["qms_fq"] @ components(psi)
-    return FieldVector(sm, r_star), FieldVector(sm, r_unstar)
+    r_star = rg.qms_fq_qm @ fs + g_unstar.components - rg.qms_fq @ components(psi_star)
+    r_unstar = rg.qms_fq_qm @ fu + g_star.components - rg.qms_fq @ components(psi)
+    return FieldVector(rg.space_minus, r_star), FieldVector(rg.space_minus, r_unstar)
 
 
 def _background_jacobian(spec: ActionSpec, fs: np.ndarray, fu: np.ndarray) -> np.ndarray:
-    m = spec.mats
-    dm = spec.rg.space_minus.dim
-    core = spec.rg.qms_fq_qm
+    rg = spec.rg
+    dm = rg.space_minus.dim
+    core = rg.qms_fq_qm
     ju_s, ju_u = tp.jacobians(spec.p.grad_unstar_coeffs(), fs, fu, dm, dm)
     js_s, js_u = tp.jacobians(spec.p.grad_star_coeffs(), fs, fu, dm, dm)
     return np.block([
-        [core + m["dstar"] + ju_s, ju_u],
-        [js_s, core + m["d"] + js_u],
+        [core + rg.dstar + ju_s, ju_u],
+        [js_s, core + rg.d.entries + js_u],
     ])
 
 
 def _damped_newton(residual, jacobian, z0: np.ndarray, tol: float, max_iter: int,
                    what: str) -> np.ndarray:
-    """Newton iteration with step halving; residual is measured sup-norm."""
+    """Newton iteration with step halving; residual is measured sup-norm.
+
+    ``residual(z)`` returns the residual and a state that the jacobian at
+    the same iterate reuses: ``jacobian(z, state)``.
+    """
     z = z0.copy()
-    r = residual(z)
+    r, state = residual(z)
     best = float(np.abs(r).max(initial=0.0))
     for _ in range(max_iter):
         if best <= tol:
             return z
-        step = gated_solve(jacobian(z), -r, f"{what} jacobian")
+        step = gated_solve(jacobian(z, state), -r, f"{what} jacobian")
         scale = 1.0
         for _ in range(20):
             z_try = z + scale * step
-            r_try = residual(z_try)
+            r_try, state_try = residual(z_try)
             n_try = float(np.abs(r_try).max(initial=0.0))
             if n_try < best:
-                z, r, best = z_try, r_try, n_try
+                z, r, state, best = z_try, r_try, state_try, n_try
                 break
             scale *= 0.5
         else:
@@ -288,21 +292,20 @@ def newton_background(spec: ActionSpec, psi_star, psi, tol: float = 1e-12,
     Starts from the linear-response solution, which is already exact for a
     vanishing interaction.
     """
-    m = spec.mats
-    dm = spec.rg.space_minus.dim
-    sm = spec.rg.space_minus
+    rg, ks = spec.rg, spec.kernels
+    dm = rg.space_minus.dim
     ps, pu = components(psi_star), components(psi)
-    z0 = np.concatenate([m["s_star"] @ m["qms_fq"] @ ps, m["s"] @ m["qms_fq"] @ pu])
+    z0 = np.concatenate([ks.s_star.entries @ rg.qms_fq @ ps, ks.s.entries @ rg.qms_fq @ pu])
 
     def residual(z):
         r_star, r_unstar = background_residual(spec, z[:dm], z[dm:], ps, pu)
-        return np.concatenate([r_star.components, r_unstar.components])
+        return np.concatenate([r_star.components, r_unstar.components]), None
 
-    def jacobian(z):
+    def jacobian(z, _):
         return _background_jacobian(spec, z[:dm], z[dm:])
 
     z = _damped_newton(residual, jacobian, z0, tol, max_iter, "background solve")
-    return FieldVector(sm, z[:dm]), FieldVector(sm, z[dm:])
+    return FieldVector(rg.space_minus, z[:dm]), FieldVector(rg.space_minus, z[dm:])
 
 
 def critical_residual(spec: ActionSpec, psi_star, psi, theta_star, theta
@@ -316,14 +319,13 @@ def critical_residual(spec: ActionSpec, psi_star, psi, theta_star, theta
 
 def _critical_residual_and_background(spec, psi_star, psi, theta_star, theta, tol):
     """The critical residual pair, plus the inner background solution it used."""
-    m = spec.mats
-    b = spec.rg.b
+    rg = spec.rg
     ps, pu = components(psi_star), components(psi)
     phi_star, phi = newton_background(spec, ps, pu, tol=tol)
-    r_star = (m["crit_lhs"] @ ps - b * m["qs"] @ components(theta_star)
-              - m["fq_qm"] @ phi_star.components)
-    r_unstar = (m["crit_lhs"] @ pu - b * m["qs"] @ components(theta)
-                - m["fq_qm"] @ phi.components)
+    r_star = (rg.crit_lhs @ ps - rg.b * rg.qs @ components(theta_star)
+              - rg.fq_qm @ phi_star.components)
+    r_unstar = (rg.crit_lhs @ pu - rg.b * rg.qs @ components(theta)
+                - rg.fq_qm @ phi.components)
     return r_star, r_unstar, (phi_star, phi)
 
 
@@ -332,43 +334,38 @@ def newton_critical(spec: ActionSpec, theta_star, theta, tol: float = 1e-12
     """Solve the critical equations at one coarse-source point.
 
     The residual solves the inner background problem at each iterate and
-    the jacobian (asked for only at the last one) reuses it; its derivative
-    enters the outer jacobian through the implicit function theorem.
+    the jacobian at that iterate reuses it; its derivative enters the outer
+    jacobian through the implicit function theorem.
     """
-    m = spec.mats
-    d = spec.rg.space_mid.dim
-    dm = spec.rg.space_minus.dim
-    smid = spec.rg.space_mid
-    b = spec.rg.b
+    rg, ks = spec.rg, spec.kernels
+    d = rg.space_mid.dim
+    dm = rg.space_minus.dim
+    b = rg.b
     ts, tu = components(theta_star), components(theta)
     inner_tol = min(tol * 1e-1, 1e-13)
-    z0 = np.concatenate([b * m["cov_star"] @ m["qs"] @ ts, b * m["cov"] @ m["qs"] @ tu])
-
-    inner = {}  # iterate bytes -> background solution, for the last iterate only
+    z0 = np.concatenate([b * ks.cov_star.entries @ rg.qs @ ts, b * ks.cov.entries @ rg.qs @ tu])
 
     def residual(z):
         r_star, r_unstar, bg = _critical_residual_and_background(
             spec, z[:d], z[d:], ts, tu, inner_tol)
-        inner.clear()
-        inner[z.tobytes()] = bg
-        return np.concatenate([r_star, r_unstar])
+        return np.concatenate([r_star, r_unstar]), bg
 
-    def jacobian(z):
-        phi_star, phi = inner[z.tobytes()]
+    def jacobian(z, bg):
+        phi_star, phi = bg
         j_bg = _background_jacobian(spec, phi_star.components, phi.components)
         src = np.zeros((2 * dm, 2 * d), dtype=complex)
-        src[:dm, :d] = m["qms_fq"]
-        src[dm:, d:] = m["qms_fq"]
+        src[:dm, :d] = rg.qms_fq
+        src[dm:, d:] = rg.qms_fq
         dphi_dpsi = gated_solve(j_bg, src, "background jacobian")
         jac = np.zeros((2 * d, 2 * d), dtype=complex)
-        jac[:d, :d] = m["crit_lhs"]
-        jac[d:, d:] = m["crit_lhs"]
-        jac[:d, :] -= m["fq_qm"] @ dphi_dpsi[:dm, :]
-        jac[d:, :] -= m["fq_qm"] @ dphi_dpsi[dm:, :]
+        jac[:d, :d] = rg.crit_lhs
+        jac[d:, d:] = rg.crit_lhs
+        jac[:d, :] -= rg.fq_qm @ dphi_dpsi[:dm, :]
+        jac[d:, :] -= rg.fq_qm @ dphi_dpsi[dm:, :]
         return jac
 
     z = _damped_newton(residual, jacobian, z0, tol, 50, "critical solve")
-    return FieldVector(smid, z[:d]), FieldVector(smid, z[d:])
+    return FieldVector(rg.space_mid, z[:d]), FieldVector(rg.space_mid, z[d:])
 
 
 # ---------------------------------------------------------------------------
@@ -384,15 +381,15 @@ def delta_phi_variants(spec: ActionSpec, theta_star, theta, dpsi_star, dpsi,
     the linear response to the fluctuation removed.
     """
     psi_star_cr, psi_cr, phi_star_base, phi_base = _critical_base(spec, theta_star, theta, tol)
-    m = spec.mats
-    sm = spec.rg.space_minus
+    rg, ks = spec.rg, spec.kernels
+    sm = rg.space_minus
     shift_star, shift = newton_background(
         spec, psi_star_cr + components(dpsi_star), psi_cr + components(dpsi),
         tol=tol)
     d_bg_star = FieldVector(sm, shift_star.components - phi_star_base)
     d_bg = FieldVector(sm, shift.components - phi_base)
-    lin_star = m["s_star"] @ m["qms_fq"] @ components(dpsi_star)
-    lin = m["s"] @ m["qms_fq"] @ components(dpsi)
+    lin_star = ks.s_star.entries @ rg.qms_fq @ components(dpsi_star)
+    lin = ks.s.entries @ rg.qms_fq @ components(dpsi)
     d_plus_star = FieldVector(sm, d_bg_star.components - lin_star)
     d_plus = FieldVector(sm, d_bg.components - lin)
     return d_bg_star, d_bg, d_plus_star, d_plus
@@ -469,11 +466,11 @@ def delta_a_formula(spec: ActionSpec, theta_star, theta, dpsi_star, dpsi,
     overrides the evaluator: a SeriesPair or a callable
     (dpsi_star, dpsi) -> (d_plus_star, d_plus).
     """
-    m = spec.mats
-    smid = spec.rg.space_mid
+    rg = spec.rg
+    smid = rg.space_mid
     ds = components(dpsi_star)
     du = components(dpsi)
-    value = pairing(FieldVector(smid, ds), FieldVector(smid, m["cov_inv"] @ du))
+    value = pairing(FieldVector(smid, ds), spec.kernels.cov_inv.apply(du))
     if spec.p.is_zero and increment_plus is None:
         return complex(value)
 
@@ -494,8 +491,8 @@ def delta_a_formula(spec: ActionSpec, theta_star, theta, dpsi_star, dpsi,
     correction = 0.0 + 0.0j
     for t, wt in zip(t_nodes, weights):
         d_plus_star, d_plus = increment_plus(t * ds, t * du)
-        correction += wt * (ds @ smid.gram @ (m["fq_qm"] @ components(d_plus)))
-        correction += wt * ((m["fq_qm"] @ components(d_plus_star)) @ smid.gram @ du)
+        correction += wt * (ds @ smid.gram @ (rg.fq_qm @ components(d_plus)))
+        correction += wt * ((rg.fq_qm @ components(d_plus_star)) @ smid.gram @ du)
     return complex(value - correction)
 
 

@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from blockspin import action, kernels, linalg
+from blockspin import kernels, linalg
 from blockspin.action import (
     base_action,
     effective_action,
@@ -19,6 +19,7 @@ from blockspin.action import (
     preparation_check,
     psi_tilde,
 )
+from blockspin.kernels import identity_suite
 from blockspin.linalg import FieldVector, components
 from blockspin.reference import scalar_reference_spec
 from conftest import general_data, general_spec, make_rng, random_field, random_poly
@@ -52,8 +53,8 @@ def test_full_action_reduces_to_base_on_averaged_fields():
     spec = general_spec(rng, (3, 2, 2))
     phi_star = random_field(rng, spec.rg.space_minus)
     phi = random_field(rng, spec.rg.space_minus)
-    psi_star = FieldVector(spec.rg.space_mid, spec.mats["qm"] @ phi_star.components)
-    psi = FieldVector(spec.rg.space_mid, spec.mats["qm"] @ phi.components)
+    psi_star = FieldVector(spec.rg.space_mid, spec.rg.q_minus.entries @ phi_star.components)
+    psi = FieldVector(spec.rg.space_mid, spec.rg.q_minus.entries @ phi.components)
     lhs = full_action(spec, psi_star, psi, phi_star, phi)
     rhs = base_action(spec, phi_star, phi)
     assert lhs == pytest.approx(rhs, abs=1e-12)
@@ -164,8 +165,8 @@ def test_psi_tilde_reproduces_averaged_field():
     for _ in range(5):
         spec = general_spec(rng, (3, 2, 2))
         phi = random_field(rng, spec.rg.space_minus)
-        qm_phi = spec.mats["qm"] @ phi.components
-        theta = FieldVector(spec.rg.space_plus, spec.mats["q"] @ qm_phi)
+        qm_phi = spec.rg.q_minus.entries @ phi.components
+        theta = FieldVector(spec.rg.space_plus, spec.rg.q.entries @ qm_phi)
         out = psi_tilde(spec, theta, phi)
         assert np.linalg.norm(out.components - qm_phi) < 1e-10 * max(
             1.0, np.linalg.norm(qm_phi))
@@ -231,14 +232,31 @@ def test_make_action_spec_takes_each_adjoint_once(monkeypatch):
         built.append(self)
         post_init(self)
 
-    for module in (kernels, action):
-        monkeypatch.setattr(module, "adjoint", counting_adjoint)
+    monkeypatch.setattr(kernels, "adjoint", counting_adjoint)
     monkeypatch.setattr(kernels.RGData, "__post_init__", counting_post_init)
     make_action_spec(data, p)
     maps = {"q_minus": data.q_minus, "q": data.q, "qcm": data.q @ data.q_minus, "d": data.d}
     counts = {name: taken[op.entries.tobytes()] for name, op in maps.items()}
     assert max(counts.values()) <= 1, counts
     assert built == []
+
+
+def test_each_kernel_of_a_spec_is_built_once(monkeypatch):
+    # random grams: adjoint(d) differs from d, so the starred kernels are
+    # built on their own, once for the spec and never again for the suite
+    data = general_data(rng_for(11), (3, 2, 1))
+    assert data.dstar.tobytes() != data.d.entries.tobytes()
+    built = []
+    d_kernels = kernels._d_kernels
+
+    def counting_d_kernels(rg, d, qcheck):
+        built.append("d" if d is data.d.entries else "adjoint of d")
+        return d_kernels(rg, d, qcheck)
+
+    monkeypatch.setattr(kernels, "_d_kernels", counting_d_kernels)
+    spec = make_action_spec(data)
+    identity_suite(spec.rg, spec.kernels)
+    assert built == ["d", "adjoint of d"]
 
 
 def test_preparation_inverts_the_critical_operator_once(monkeypatch):

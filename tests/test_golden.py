@@ -6,16 +6,20 @@ the ``SolveLattice`` fingerprints (``perfbench/workloads.py``) of ops 0-15
 at seed 1, with the numpy and BLAS build that produced them.  A changed
 digest names the scenario, the seed and the suite that moved.
 
+Every suite but ``gaussian-quadrature`` draws only from the seed, so its
+block is the same on both scenarios: those suites run once per seed, on
+``srm.json``, and are compared with the stored blocks of both scenarios.
 ``gaussian-quadrature`` is the slow suite and its block does not depend on
-the seed, so it runs once, on ``srm.json``, and is compared with that
+the seed, so it runs once per scenario and is compared with that
 scenario's stored block at every seed.  On ``default.json`` it takes the
-reference-family branch, which no tier-1 digest covers.
+reference-family branch.
 
 Both shipped scenarios use identity forms, where the adjoint of d has the
 bits of d and the starred kernels are the unstarred ones.  The
 ``starred`` digest covers the other branch: random-gram action specs at
-(3,2,1), (4,3,2) and (6,4,2), hashed through their matrix table, kernel
-diagnostics, next-scale delta and kernel identity residuals.  The
+(3,2,1), (4,3,2) and (6,4,2), hashed through the maps of their step and
+their kernels, kernel diagnostics, next-scale delta and kernel identity
+residuals.  The
 ``kernels-dump`` digests hold ``blockspin kernels --dump`` on both
 scenarios.
 
@@ -54,11 +58,6 @@ SEEDS = (1, 90210)
 SLOW = "gaussian-quadrature"
 LATTICE_OPS = 16
 
-# the ActionSpec.mats keys of the recording; keys added later stay out of
-# the digest so it keeps comparing the same arrays
-MATS_KEYS = ("qm", "q", "qms", "qs", "qcm", "qcms", "fq", "d", "dstar", "qc",
-             "qc_star", "s", "s_star", "scheck", "scheck_star", "delta",
-             "delta_star", "cov", "cov_star", "crit_lhs", "fq_qm", "qms_fq")
 STARRED_DIMS = ((3, 2, 1), (4, 3, 2), (6, 4, 2))
 
 FULL_SEEDS = (1, 2, 3, 2026, 90210)
@@ -133,14 +132,30 @@ def cli_reply(*args, config, point=None) -> bytes:
         return (tmp / "out").read_bytes()
 
 
+def step_maps(spec) -> dict:
+    """The 22 maps that the starred digest hashes, from the step data and
+    the kernels of ``spec``, under the labels and in the order of the
+    recording; a map added later stays out, so the digest keeps comparing
+    the same arrays."""
+    rg, ks = spec.rg, spec.kernels
+    return {"qm": rg.q_minus.entries, "q": rg.q.entries, "qms": rg.qms, "qs": rg.qs,
+            "qcm": rg.qcm, "qcms": rg.qcms, "fq": rg.fq.entries, "d": rg.d.entries,
+            "dstar": rg.dstar, "qc": ks.qcheck.entries, "qc_star": ks.qc_star.entries,
+            "s": ks.s.entries, "s_star": ks.s_star.entries,
+            "scheck": ks.scheck.entries, "scheck_star": ks.scheck_star.entries,
+            "delta": ks.delta.entries, "delta_star": ks.delta_star.entries,
+            "cov": ks.cov.entries, "cov_star": ks.cov_star.entries,
+            "crit_lhs": rg.crit_lhs, "fq_qm": rg.fq_qm, "qms_fq": rg.qms_fq}
+
+
 def starred_digest() -> str:
     """Random-gram specs, two per dims, from one fixed stream."""
     rng = stream(1, "golden-starred")
     digest = hashlib.sha256()
     for dims in STARRED_DIMS * 2:
         spec = random_spec(rng, dims, identity_grams=False)
-        for key in MATS_KEYS:
-            arr = np.ascontiguousarray(spec.mats[key])
+        for key, entries in step_maps(spec).items():
+            arr = np.ascontiguousarray(entries)
             digest.update(f"{key} {arr.dtype} {arr.shape}".encode() + arr.tobytes())
         digest.update(json.dumps(spec.kernels.diagnostics, sort_keys=True).encode())
         digest.update(next_scale_delta(spec.rg, spec.kernels).entries.tobytes())
@@ -153,16 +168,18 @@ def starred_digest() -> str:
 
 
 def observe() -> dict:
-    suites = {}
+    suites = {name: {} for name in SCENARIOS}
+    for seed in SEEDS:
+        cfg = scenario_config("srm.json", seed)
+        digests = suite_digests(run_scenario(cfg.with_suites(
+            [s for s in cfg.suites if s != SLOW])))
+        for name in SCENARIOS:
+            suites[name][str(seed)] = dict(digests)
     for name in SCENARIOS:
-        for seed in SEEDS:
-            cfg = scenario_config(name, seed)
-            cfg = cfg.with_suites([s for s in cfg.suites if s != SLOW])
-            suites.setdefault(name, {})[str(seed)] = suite_digests(run_scenario(cfg))
-    srm = ScenarioConfig.from_file(REPO / "scenarios" / "srm.json").with_suites([SLOW])
-    slow = suite_digests(run_scenario(srm))[SLOW]
-    for digests in suites["srm.json"].values():
-        digests[SLOW] = slow
+        cfg = scenario_config(name, SEEDS[0]).with_suites([SLOW])
+        slow = suite_digests(run_scenario(cfg))[SLOW]
+        for digests in suites[name].values():
+            digests[SLOW] = slow
     return {"environment": environment(), "suites": suites,
             "solve-lattice": solve_lattice_digest(1, LATTICE_OPS)}
 

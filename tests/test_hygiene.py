@@ -61,21 +61,36 @@ UNREAD_ALLOWED = {
 
 
 def unread_public_defs(sources: dict[str, str]) -> list[str]:
-    """Public top-level functions that no module reads by name, by
-    attribute or by import; a module's calls to its own functions count."""
+    """Public top-level functions that no module reads.  A def counts as
+    read when its own module loads its name, when another module imports it
+    by name from its module, or when another module reads it as an
+    attribute of a name bound to its module (``tp.compose``).  A name that
+    merely matches, such as a local variable, does not count."""
     trees = {name: ast.parse(source) for name, source in sources.items()}
-    read = set()
-    for node in (n for tree in trees.values() for n in ast.walk(tree)):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            read.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            read.add(node.attr)
-        elif isinstance(node, ast.ImportFrom):
-            read |= {alias.name for alias in node.names}
-    return sorted(f"{name}.{node.name}" for name, tree in trees.items()
+    read = set()  # (module, name)
+    for module, tree in trees.items():
+        aliases = {}  # local name -> package module it is bound to
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add((module, node.id))
+            elif isinstance(node, ast.ImportFrom):
+                source = (node.module or "").rsplit(".", 1)[-1]
+                for alias in node.names:
+                    if source in trees:
+                        read.add((source, alias.name))
+                    elif alias.name in trees:
+                        aliases[alias.asname or alias.name] = alias.name
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.rsplit(".", 1)[-1] in trees:
+                        aliases[alias.asname or alias.name] = alias.name.rsplit(".", 1)[-1]
+        read |= {(aliases[node.value.id], node.attr) for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                 and node.value.id in aliases}
+    return sorted(f"{module}.{node.name}" for module, tree in trees.items()
                   for node in tree.body
                   if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
-                  and node.name not in read)
+                  and (module, node.name) not in read)
 
 
 def test_scanner_finds_an_unread_def():
@@ -83,6 +98,15 @@ def test_scanner_finds_an_unread_def():
                "b": "from .a import used\nimport c\nc.by_attribute()\n",
                "c": "def by_attribute(): pass\ndef helper(): pass\nx = helper()\n"}
     assert unread_public_defs(sources) == ["a.alone"]
+
+
+def test_scanner_ignores_a_namesake_in_another_module():
+    # b's local variable and attribute share the name of a's def; neither
+    # reads it, and neither does a module-level call in c of its own namesake
+    sources = {"a": "def solve(): pass\ndef helper(): pass\n",
+               "b": "def _run(x):\n    solve = x.helper\n    return solve()\n",
+               "c": "def helper(): pass\nhelper()\n"}
+    assert unread_public_defs(sources) == ["a.helper", "a.solve"]
 
 
 def test_no_public_def_is_read_only_by_tests():

@@ -65,10 +65,10 @@ def test_background_p_zero_is_linear():
     spec = general_spec(rng_for(1), (3, 2, 1), bidegrees=())
     assert spec.p.is_zero
     bg = solvers.fps_background(spec, max_order=4)
-    m = spec.mats
-    assert np.allclose(bg.unstarred.coeffs[(0, 1)], m["s"] @ m["qms_fq"],
+    rg, ks = spec.rg, spec.kernels
+    assert np.allclose(bg.unstarred.coeffs[(0, 1)], ks.s.entries @ rg.qms_fq,
                        atol=1e-14)
-    assert np.allclose(bg.starred.coeffs[(1, 0)], m["s_star"] @ m["qms_fq"],
+    assert np.allclose(bg.starred.coeffs[(1, 0)], ks.s_star.entries @ rg.qms_fq,
                        atol=1e-14)
     for key, t in bg.unstarred.coeffs.items():
         if key != (0, 1):
@@ -82,10 +82,10 @@ def test_background_linear_coefficient_general():
     # with interactions of degree >= 3 the linear response is untouched
     spec = general_spec(rng_for(2), (4, 3, 2))
     bg = solvers.fps_background(spec, max_order=3)
-    m = spec.mats
-    assert np.allclose(bg.unstarred.coeffs[(0, 1)], m["s"] @ m["qms_fq"],
+    rg, ks = spec.rg, spec.kernels
+    assert np.allclose(bg.unstarred.coeffs[(0, 1)], ks.s.entries @ rg.qms_fq,
                        atol=1e-13)
-    assert np.allclose(bg.starred.coeffs[(1, 0)], m["s_star"] @ m["qms_fq"],
+    assert np.allclose(bg.starred.coeffs[(1, 0)], ks.s_star.entries @ rg.qms_fq,
                        atol=1e-13)
 
 
@@ -150,11 +150,11 @@ def test_critical_equation_residuals():
 def test_critical_p_zero_linear():
     spec = general_spec(rng_for(6), (3, 2, 1), bidegrees=())
     cr = solvers.fps_critical(spec, solvers.fps_background(spec, 3), max_order=3)
-    m = spec.mats
+    rg, ks = spec.rg, spec.kernels
     assert np.allclose(cr.unstarred.coeffs[(0, 1)],
-                       spec.rg.b * m["cov"] @ m["qs"], atol=1e-13)
+                       rg.b * ks.cov.entries @ rg.qs, atol=1e-13)
     assert np.allclose(cr.starred.coeffs[(1, 0)],
-                       spec.rg.b * m["cov_star"] @ m["qs"], atol=1e-13)
+                       rg.b * ks.cov_star.entries @ rg.qs, atol=1e-13)
     for key, t in cr.unstarred.coeffs.items():
         if key != (0, 1):
             assert np.max(np.abs(t)) == 0.0
@@ -188,11 +188,11 @@ def test_nextscale_scalar_series():
 def test_nextscale_leading_coefficient_general():
     spec = general_spec(rng_for(7), (4, 3, 2))
     ns = solvers.fps_nextscale(spec, max_order=2)
-    m = spec.mats
+    rg, ks = spec.rg, spec.kernels
     assert np.allclose(ns.unstarred.coeffs[(0, 1)],
-                       m["scheck"] @ m["qcms"] @ m["qc"], atol=1e-13)
+                       ks.scheck.entries @ rg.qcms @ ks.qcheck.entries, atol=1e-13)
     assert np.allclose(ns.starred.coeffs[(1, 0)],
-                       m["scheck_star"] @ m["qcms"] @ m["qc"], atol=1e-13)
+                       ks.scheck_star.entries @ rg.qcms @ ks.qcheck.entries, atol=1e-13)
 
 
 def test_nextscale_equation_residuals():
@@ -212,9 +212,9 @@ def test_compose_linear_product():
     bg = solvers.fps_background(spec, max_order=2)
     cr = solvers.fps_critical(spec, bg, max_order=2)
     cp = solvers.compose_cp(bg, cr, max_order=2)
-    m = spec.mats
-    want_u = m["s"] @ m["qms_fq"] @ (spec.rg.b * m["cov"] @ m["qs"])
-    want_s = m["s_star"] @ m["qms_fq"] @ (spec.rg.b * m["cov_star"] @ m["qs"])
+    rg, ks = spec.rg, spec.kernels
+    want_u = ks.s.entries @ rg.qms_fq @ (rg.b * ks.cov.entries @ rg.qs)
+    want_s = ks.s_star.entries @ rg.qms_fq @ (rg.b * ks.cov_star.entries @ rg.qs)
     assert np.allclose(cp.unstarred.coeffs[(0, 1)], want_u, atol=1e-13)
     assert np.allclose(cp.starred.coeffs[(1, 0)], want_s, atol=1e-13)
 
@@ -323,9 +323,9 @@ def test_newton_background_p_zero_exact():
     psi_star = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     psi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     fs, fu = solvers.newton_background(spec, psi_star, psi)
-    m = spec.mats
-    assert np.array_equal(fu.components, m["s"] @ m["qms_fq"] @ psi)
-    assert np.array_equal(fs.components, m["s_star"] @ m["qms_fq"] @ psi_star)
+    rg, ks = spec.rg, spec.kernels
+    assert np.array_equal(fu.components, ks.s.entries @ rg.qms_fq @ psi)
+    assert np.array_equal(fs.components, ks.s_star.entries @ rg.qms_fq @ psi_star)
 
 
 def test_newton_background_scalar_exact_root():
@@ -395,10 +395,10 @@ def test_newton_critical_p_zero_exact():
     theta_star = rng.standard_normal(1) + 1j * rng.standard_normal(1)
     theta = rng.standard_normal(1) + 1j * rng.standard_normal(1)
     ps, pu = solvers.newton_critical(spec, theta_star, theta)
-    m = spec.mats
-    assert np.array_equal(pu.components, spec.rg.b * m["cov"] @ m["qs"] @ theta)
+    rg, ks = spec.rg, spec.kernels
+    assert np.array_equal(pu.components, rg.b * ks.cov.entries @ rg.qs @ theta)
     assert np.array_equal(ps.components,
-                          spec.rg.b * m["cov_star"] @ m["qs"] @ theta_star)
+                          rg.b * ks.cov_star.entries @ rg.qs @ theta_star)
 
 
 def test_newton_critical_matches_series():
@@ -502,9 +502,9 @@ def test_delta_phi_p_zero():
     dpsi = 0.1 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
     dbs, dbu, dps, dpu = solvers.delta_phi_variants(
         spec, theta_star, theta, dpsi_star, dpsi)
-    m = spec.mats
-    assert np.allclose(dbu.components, m["s"] @ m["qms_fq"] @ dpsi, atol=1e-14)
-    assert np.allclose(dbs.components, m["s_star"] @ m["qms_fq"] @ dpsi_star,
+    rg, ks = spec.rg, spec.kernels
+    assert np.allclose(dbu.components, ks.s.entries @ rg.qms_fq @ dpsi, atol=1e-14)
+    assert np.allclose(dbs.components, ks.s_star.entries @ rg.qms_fq @ dpsi_star,
                        atol=1e-14)
     assert np.max(np.abs(dpu.components)) <= 1e-14
     assert np.max(np.abs(dps.components)) <= 1e-14
@@ -563,13 +563,13 @@ def test_delta_phi_linear_split_general():
         spec, psi_star + dpsi_star, psi + dpsi, tol=1e-13)
     _, d_phi0, d_phi_star0 = eval_p_and_grads(spec.p, b0s.components, b0u.components)
     _, d_phi1, d_phi_star1 = eval_p_and_grads(spec.p, b1s.components, b1u.components)
-    m = spec.mats
+    rg, ks = spec.rg, spec.kernels
     lhs_u = b1u.components - b0u.components
-    rhs_u = m["s"] @ (m["qms_fq"] @ dpsi
-                      - (d_phi_star1.components - d_phi_star0.components))
+    rhs_u = ks.s.entries @ (rg.qms_fq @ dpsi
+                            - (d_phi_star1.components - d_phi_star0.components))
     lhs_s = b1s.components - b0s.components
-    rhs_s = m["s_star"] @ (m["qms_fq"] @ dpsi_star
-                           - (d_phi1.components - d_phi0.components))
+    rhs_s = ks.s_star.entries @ (rg.qms_fq @ dpsi_star
+                                 - (d_phi1.components - d_phi0.components))
     assert np.max(np.abs(lhs_u - rhs_u)) <= 1e-10
     assert np.max(np.abs(lhs_s - rhs_s)) <= 1e-10
 
@@ -630,10 +630,10 @@ def test_delta_a_p_zero_quadratic():
     dpsi = 0.3 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
     direct = solvers.delta_a_direct(spec, theta_star, theta, dpsi_star, dpsi)
     formula = solvers.delta_a_formula(spec, theta_star, theta, dpsi_star, dpsi)
-    m = spec.mats
+    rg, ks = spec.rg, spec.kernels
     gram = spec.rg.space_mid.gram
     quad = dpsi_star @ gram @ (
-        (m["delta"] + spec.rg.b * m["qs"] @ m["q"]) @ dpsi)
+        (ks.delta.entries + rg.b * rg.qs @ rg.q.entries) @ dpsi)
     assert abs(direct - quad) <= 1e-13
     assert abs(formula - quad) <= 1e-15
 
