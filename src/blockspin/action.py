@@ -23,7 +23,7 @@ import numpy as np
 
 from .kernels import KernelSet, RGData, build_kernels
 from .linalg import FieldVector, components, gated_solve, pairing
-from .poly import PolynomialP, eval_p_and_grads
+from .poly import PolynomialP, p_gradients
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,7 +90,7 @@ def next_action(spec: ActionSpec, theta_star, theta, phi_star, phi) -> complex:
 
 def grad_base_action(spec: ActionSpec, phi_star, phi) -> tuple[FieldVector, FieldVector]:
     """(grad wrt phi_star, grad wrt phi) of the base action."""
-    _, d_phi, d_phi_star = eval_p_and_grads(spec.p, phi_star, phi)
+    d_phi, d_phi_star = p_gradients(spec.p, phi_star, phi)
     rg = spec.rg
     wrt_star = FieldVector(rg.space_minus, rg.d.entries @ components(phi) + d_phi_star.components)
     wrt_unstar = FieldVector(rg.space_minus, rg.dstar @ components(phi_star) + d_phi.components)

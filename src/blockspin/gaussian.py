@@ -24,8 +24,6 @@ from .action import ActionSpec
 from .errors import BlockspinError, ConvergenceError, QuadratureError
 from .kernels import RGData, build_kernels, next_scale_delta
 from .linalg import FieldVector, Operator, components, gated_solve
-from .solvers import (_critical_base, delta_a_direct, delta_a_formula,
-                      delta_phi_plus_series)
 
 __all__ = [
     "gaussian_exact", "gaussian_source_exact", "insertion_constant",
@@ -140,7 +138,7 @@ def _scalar_setup(spec: ActionSpec) -> tuple[dict, dict]:
     ks = spec.kernels
     maps = {"qm": rg.q_minus.entries, "q": rg.q.entries, "fq": rg.fq.entries,
             "d": rg.d.entries, "qc": ks.qcheck.entries, "qcm": rg.qcm,
-            "s": ks.s.entries, "cov": ks.cov.entries, "delta": ks.delta.entries}
+            "cov": ks.cov.entries}
     raw = {k: complex(m[0, 0]) for k, m in maps.items()}
     for k, v in raw.items():
         if abs(v.imag) > 1e-14:
@@ -330,27 +328,42 @@ def _coupling_rowsum(b: float, q: float, theta: np.ndarray, u: np.ndarray,
     return out
 
 
-def _split_pass(sc: dict, pc: dict, r_mid: float, r_plus: float, n: int,
-                sigmas: float, e_cb) -> dict:
-    b, q, qm, fq, d, qc, qcm = (sc["b"], sc["q"], sc["qm"], sc["fq"],
-                                sc["d"], sc["qc"], sc["qcm"])
-    u, w_u = _polar_grid(0.0, r_mid, n, n)
+def _fluctuation_weights(sc: dict, pc: dict, radius: float, n: int, e_cb):
+    """Nodes u of the disc |u| <= radius and w_u exp(-A_full + E) at the
+    background solved there."""
+    qm, fq, d = sc["qm"], sc["fq"], sc["d"]
+    u, w_u = _polar_grid(0.0, radius, n, n)
     u_star = np.conj(u)
     phs, ph = _background_grid(sc, pc, u_star, u)
     a_mid = ((u_star - qm * phs) * fq * (u - qm * ph)
              + phs * d * ph + _poly_val(pc, phs, ph))
     e_mid = e_cb(u_star, u) if e_cb is not None else 0.0
-    w_vals = w_u * np.exp(-a_mid + e_mid)
-    lhs = complex(np.sum(w_vals))
+    return u, w_u * np.exp(-a_mid + e_mid)
 
-    # small field: critical re-centering inside |theta| <= r_plus
-    th, w_th = _polar_grid(0.0, r_plus, n, n)
-    th_star = np.conj(th)
+
+def _critical_actions(sc: dict, pc: dict, th_star, th):
+    """Next-scale and effective actions at the critical fields of each
+    theta node, plus the critical middle pair."""
+    b, q, qm, fq, d, qc, qcm = (sc["b"], sc["q"], sc["qm"], sc["fq"],
+                                sc["d"], sc["qc"], sc["qcm"])
     cps, cp, pss, ps = _critical_grid(sc, pc, th_star, th)
     p_at_cp = _poly_val(pc, cps, cp)
     a_check = (th_star - qcm * cps) * qc * (th - qcm * cp) + cps * d * cp + p_at_cp
     a_eff = (b * (th_star - q * pss) * (th - q * ps)
              + (pss - qm * cps) * fq * (ps - qm * cp) + cps * d * cp + p_at_cp)
+    return a_check, a_eff, pss, ps
+
+
+def _split_pass(sc: dict, pc: dict, r_mid: float, r_plus: float, n: int,
+                sigmas: float, e_cb) -> dict:
+    b, q = sc["b"], sc["q"]
+    u, w_vals = _fluctuation_weights(sc, pc, r_mid, n, e_cb)
+    lhs = complex(np.sum(w_vals))
+
+    # small field: critical re-centering inside |theta| <= r_plus
+    th, w_th = _polar_grid(0.0, r_plus, n, n)
+    th_star = np.conj(th)
+    a_check, a_eff, pss, ps = _critical_actions(sc, pc, th_star, th)
     e_crit = e_cb(pss, ps) if e_cb is not None else np.zeros(th.shape)
     f_vals = np.exp(a_eff - e_crit) * _coupling_rowsum(b, q, th, u, w_vals)
     small = complex(np.sum(w_th * np.exp(-a_check + e_crit) * f_vals))
@@ -362,8 +375,7 @@ def _split_pass(sc: dict, pc: dict, r_mid: float, r_plus: float, n: int,
         large = complex(np.sum(w_ta * _coupling_rowsum(b, q, ta, u, w_vals)))
     else:
         large = 0.0 + 0.0j
-    rhs = b ** 1 * (small + large)
-    return {"lhs": lhs, "small_field": small, "large_field": large, "rhs": rhs}
+    return {"lhs": lhs, "rhs": b ** 1 * (small + large)}
 
 
 def _rel_diff(a: complex, b: complex) -> float:
@@ -408,18 +420,17 @@ def prop_d_quadrature_check(spec: ActionSpec, radii, nodes_per_axis: int = 64,
 
 
 def fluctuation_integral(spec: ActionSpec, theta_star, theta,
-                         radius: float | None = None, nodes_per_axis: int = 48,
-                         increment: str = "direct") -> complex:
+                         radius: float | None = None, nodes_per_axis: int = 48) -> complex:
     """F(theta*, theta) = int exp(-delta_a) dmu over the domain of
     fluctuations around the critical point.
 
     radius None is the exact whole-space mode, available only for P = 0:
     the increment is the pure quadratic <dpsi*, cov^{-1} dpsi> and the
     integral equals det(cov).  With a radius the integral runs on the
-    conjugate slice psi = u, psi* = conj(u) of the disc |u| <= radius;
-    ``increment`` picks the evaluator, "direct" (re-solve the background
-    at every node) or "formula" (line-integral identity on the truncated
-    increment series of degree 6).
+    conjugate slice psi = u, psi* = conj(u) of the disc |u| <= radius and
+    is the split's own factor: exp(A_eff) at the critical fields times the
+    coupling sum of exp(-b |theta - q u|^2 - A_full) over the disc, with
+    the critical and background fields from the split's grid Newton.
     """
     if radius is None:
         if not spec.p.is_zero:
@@ -428,30 +439,14 @@ def fluctuation_integral(spec: ActionSpec, theta_star, theta,
                 "integrate the interacting increment")
         _require_positive(spec.rg.space_mid, spec.kernels.cov_inv.entries, "fluctuation form cov^{-1}")
         return complex(np.linalg.det(spec.kernels.cov.entries))
-    if increment not in ("direct", "formula"):
-        raise BlockspinError(f"unknown increment evaluator {increment!r}")
     radius, n = _disc_grid({"radius": radius}, nodes_per_axis)
-    _scalar_setup(spec)
+    sc, pc = _scalar_setup(spec)
     ts = components(theta_star).astype(complex)
     tu = components(theta).astype(complex)
     if not np.allclose(ts, np.conj(tu), atol=1e-13):
         raise BlockspinError("quadrature runs on the conjugate slice; "
                              "theta_star must be the conjugate of theta")
-    tol = 1e-13  # Newton tolerance of the critical base and of every increment
-    base = _critical_base(spec, ts, tu, tol)
-    psi_star_cr, psi_cr = base[0], base[1]
-    series = None
-    if increment == "formula":
-        series = delta_phi_plus_series(spec, ts, tu, 6, tol=tol, _base=base)
-    u, w_u = _polar_grid(0.0, radius, n, n)
-    terms = np.empty(u.size, dtype=complex)
-    for i in range(u.size):
-        dpsi = np.array([u[i]]) - psi_cr
-        dpsi_star = np.array([np.conj(u[i])]) - psi_star_cr
-        if increment == "direct":
-            da = delta_a_direct(spec, ts, tu, dpsi_star, dpsi, tol=tol, _base=base)
-        else:
-            da = delta_a_formula(spec, ts, tu, dpsi_star, dpsi, 6,
-                                 increment_plus=series, tol=tol, _base=base)
-        terms[i] = w_u[i] * np.exp(-da)
-    return complex(np.sum(terms))
+    u, w_vals = _fluctuation_weights(sc, pc, radius, n, None)
+    _, a_eff, _, _ = _critical_actions(sc, pc, ts, tu)
+    f_vals = np.exp(a_eff) * _coupling_rowsum(sc["b"], sc["q"], tu, u, w_vals)
+    return complex(f_vals[0])

@@ -60,13 +60,11 @@ class BlockScheme:
     """Block shape plus the averaging profile over one cell.
 
     The profile is stored flat in row-major order over the in-cell offsets.
-    By convention its weights sum to 1, so constants average to themselves;
-    callers that want an unnormalized profile must say so explicitly.
+    Its weights must sum to 1, so constants average to themselves.
     """
 
     block: tuple[int, ...]
     profile: np.ndarray | None = None
-    allow_unnormalized: bool = False
 
     def __post_init__(self):
         blk = tuple(int(b) for b in self.block)
@@ -82,11 +80,8 @@ class BlockScheme:
                 raise ValueError(
                     f"profile has {prof.shape[0]} weights, block volume is {vol}"
                 )
-        if not self.allow_unnormalized and abs(prof.sum() - 1.0) > 1e-12:
-            raise ValueError(
-                f"profile weights sum to {prof.sum()!r}, expected 1; "
-                "pass allow_unnormalized=True to keep them as given"
-            )
+        if abs(prof.sum() - 1.0) > 1e-12:
+            raise ValueError(f"profile weights sum to {prof.sum()!r}, expected 1")
         prof = prof.copy()
         prof.setflags(write=False)
         object.__setattr__(self, "profile", prof)

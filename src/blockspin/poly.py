@@ -93,17 +93,16 @@ def _gradient_map(monomials: dict, gram_inv: np.ndarray, starred: bool) -> dict:
     return {k: v for k, v in sorted(out.items())}
 
 
-def eval_p_and_grads(p: PolynomialP, phi_star, phi) -> tuple[complex, FieldVector, FieldVector]:
-    """(P, grad wrt phi, grad wrt phi_star) at a point.
+def p_gradients(p: PolynomialP, phi_star, phi) -> tuple[FieldVector, FieldVector]:
+    """(grad wrt phi, grad wrt phi_star) at a point.
 
-    The middle entry is the starred drive P'_* and the last the unstarred
+    The first is the starred drive P'_* and the second the unstarred
     drive P' of the field equations.
     """
     us, u = components(phi_star), components(phi)
-    value = complex(tp.eval_map(p.monomials, us, u, p.space.dim, leading_axes=0))
     d_phi = tp.eval_map(p.grad_unstar_coeffs(), us, u, p.space.dim)
     d_phi_star = tp.eval_map(p.grad_star_coeffs(), us, u, p.space.dim)
-    return value, FieldVector(p.space, d_phi), FieldVector(p.space, d_phi_star)
+    return FieldVector(p.space, d_phi), FieldVector(p.space, d_phi_star)
 
 
 def _require(ok: bool, where: str, what: str) -> None:

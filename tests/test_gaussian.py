@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from blockspin import solvers
 from blockspin.errors import BlockspinError, QuadratureError, SpaceMismatchError
 from blockspin.gaussian import (_coupling_rowsum, _polar_grid, fluctuation_integral,
                                 gaussian_exact, gaussian_source_exact,
@@ -228,13 +229,28 @@ def test_fluctuation_shrinks_with_the_domain():
     assert abs(got) <= 1e-10
 
 
-def test_fluctuation_formula_matches_direct():
+def test_fluctuation_matches_nodewise_increments():
+    # F is the split's factor; summing w exp(-delta_a) node by node over the
+    # same disc, with the increment solved directly and by the line-integral
+    # formula on its degree-6 series, must give the same value
     spec = scalar_reference_spec(g=0.05)
     theta = np.array([0.25 + 0.1j])
-    direct = fluctuation_integral(spec, np.conj(theta), theta, radius=1.0,
-                                  nodes_per_axis=16, increment="direct")
-    formula = fluctuation_integral(spec, np.conj(theta), theta, radius=1.0,
-                                   nodes_per_axis=16, increment="formula")
+    theta_star = np.conj(theta)
+    got = fluctuation_integral(spec, theta_star, theta, radius=1.0, nodes_per_axis=16)
+    psi_star_cr, psi_cr = solvers.newton_critical(spec, theta_star, theta, tol=1e-13)
+    series = solvers.delta_phi_plus_series(spec, theta_star, theta, max_degree=6)
+    u, w_u = _polar_grid(0.0, 1.0, 16, 16)
+    direct, formula = [], []
+    for node, w in zip(u, w_u):
+        dpsi_star = np.array([np.conj(node)]) - psi_star_cr.components
+        dpsi = np.array([node]) - psi_cr.components
+        da = solvers.delta_a_direct(spec, theta_star, theta, dpsi_star, dpsi)
+        direct.append(w * np.exp(-da))
+        da = solvers.delta_a_formula(spec, theta_star, theta, dpsi_star, dpsi, 6,
+                                     increment_plus=series)
+        formula.append(w * np.exp(-da))
+    direct, formula = np.sum(direct), np.sum(formula)
+    assert abs(got - direct) / abs(direct) <= 1e-12
     assert abs(direct - formula) / abs(direct) <= 1e-8
 
 
@@ -242,9 +258,6 @@ def test_fluctuation_rejects_off_slice_points():
     spec = scalar_reference_spec(g=0.05)
     with pytest.raises(BlockspinError, match="conjugate"):
         fluctuation_integral(spec, np.array([0.3]), np.array([0.4]), radius=1.0)
-    with pytest.raises(BlockspinError, match="evaluator"):
-        fluctuation_integral(spec, np.array([0.3]), np.array([0.3]), radius=1.0,
-                             increment="series")
 
 
 # --- disc quadrature of the full split -------------------------------------

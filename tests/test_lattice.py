@@ -48,8 +48,6 @@ def test_decimation_profile():
 def test_profile_validation():
     with pytest.raises(ValueError, match="sum"):
         BlockScheme((2,), np.array([1.0, 1.0]))
-    s = BlockScheme((2,), np.array([1.0, 1.0]), allow_unnormalized=True)
-    assert s.profile.sum() == pytest.approx(2.0)
     with pytest.raises(ValueError, match="weights"):
         BlockScheme((2, 2), np.array([0.5, 0.5]))
 
