@@ -11,11 +11,12 @@ or an error outside the suites.  Config errors, which name their field,
 include malformed point files, non-finite numbers (json NaN, Infinity),
 unknown keys in nested objects, a bad lattice profile, a lattice whose
 extents the block does not divide, an invalid operator table, dims that
-disagree with the operator shapes, and malformed polynomial records.  Every
-command catches them alike, when it reads the config or point file.  An
-exception inside a suite is reported as a failed "suite-execution" check
-whose note names the exception type, so verify exits 1.  Point files hold
-one vector per field, either a plain list (real) or {"re": [...], "im": [...]}.
+disagree with the operator shapes, an interaction bidegree of total degree
+below 2, and malformed polynomial records.  Every command catches them
+alike, when it reads the config or point file.  An exception inside a suite
+is reported as a failed "suite-execution" check whose note names the
+exception type, so verify exits 1.  Point files hold one vector per field,
+either a plain list (real) or {"re": [...], "im": [...]}.
 """
 
 from __future__ import annotations

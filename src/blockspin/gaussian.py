@@ -195,36 +195,46 @@ def _polar_grid(r_inner: float, r_outer: float, n_radial: int,
     return pts, wts
 
 
-def _background_grid(sc: dict, pc: dict, psi_star, psi):
-    """Newton on the pair of background equations, vectorized over nodes.
+def _background_equations(sc: dict, pc: dict):
+    """The pair of background equations on a node grid, for both grid solvers.
 
-    The system is polynomial in the independent unknowns (phi_star, phi),
-    so the complex 2x2 Jacobian is exact and the per-node solve is a
-    closed-form Cramer step.
-    """
+    Returns lin, drive, ``rows(phi_star, phi, f_star, f)``, the two residual
+    rows against the drive terms, and ``jacobian(phi_star, phi)``, the
+    entries (j11, j12, j21, j22) of their complex 2x2 Jacobian.  The system
+    is polynomial in the independent unknowns, so the Jacobian is exact."""
     lin = sc["qm"] ** 2 * sc["fq"] + sc["d"]
     drive = sc["qm"] * sc["fq"]
     g_star = _diff_star(pc)      # d P / d phi*, drives the unstarred equation
     g_un = _diff_unstar(pc)      # d P / d phi, drives the starred equation
-    g_ss = _diff_star(g_star)
-    g_su = _diff_unstar(g_star)
-    g_us = _diff_star(g_un)
-    g_uu = _diff_unstar(g_un)
+    g_ss, g_su = _diff_star(g_star), _diff_unstar(g_star)
+    g_us, g_uu = _diff_star(g_un), _diff_unstar(g_un)
+
+    def rows(phi_star, phi, f_star, f):
+        return (lin * phi_star + _poly_val(g_un, phi_star, phi) - f_star,
+                lin * phi + _poly_val(g_star, phi_star, phi) - f)
+
+    def jacobian(phi_star, phi):
+        return (lin + _poly_val(g_us, phi_star, phi), _poly_val(g_uu, phi_star, phi),
+                _poly_val(g_ss, phi_star, phi), lin + _poly_val(g_su, phi_star, phi))
+
+    return lin, drive, rows, jacobian
+
+
+def _background_grid(sc: dict, pc: dict, psi_star, psi):
+    """Newton on the pair of background equations, vectorized over nodes;
+    the per-node solve is a closed-form Cramer step."""
+    lin, drive, rows, jacobian = _background_equations(sc, pc)
     f_star = drive * psi_star
     f_un = drive * psi
     phi_star = f_star / lin
     phi = f_un / lin
     res = np.inf
     for _ in range(_GRID_MAX_ITER):
-        r_star = lin * phi_star + _poly_val(g_un, phi_star, phi) - f_star
-        r_un = lin * phi + _poly_val(g_star, phi_star, phi) - f_un
+        r_star, r_un = rows(phi_star, phi, f_star, f_un)
         res = max(float(np.abs(r_star).max()), float(np.abs(r_un).max()))
         if res <= _GRID_TOL:
             return phi_star, phi
-        j11 = lin + _poly_val(g_us, phi_star, phi)
-        j12 = _poly_val(g_uu, phi_star, phi)
-        j21 = _poly_val(g_ss, phi_star, phi)
-        j22 = lin + _poly_val(g_su, phi_star, phi)
+        j11, j12, j21, j22 = jacobian(phi_star, phi)
         det = j11 * j22 - j12 * j21
         phi_star = phi_star - (j22 * r_star - j12 * r_un) / det
         phi = phi - (j11 * r_un - j21 * r_star) / det
@@ -238,16 +248,9 @@ def _critical_grid(sc: dict, pc: dict, theta_star, theta):
     the background pair coupled to the critical-field pair, solved batched.
     """
     b = sc["b"]
-    lin = sc["qm"] ** 2 * sc["fq"] + sc["d"]
-    drive = sc["qm"] * sc["fq"]
+    lin, drive, rows, jacobian = _background_equations(sc, pc)
     cpl = sc["fq"] * sc["qm"]
     m_crit = b * sc["q"] ** 2 + sc["fq"]
-    g_star = _diff_star(pc)
-    g_un = _diff_unstar(pc)
-    g_ss = _diff_star(g_star)
-    g_su = _diff_unstar(g_star)
-    g_us = _diff_star(g_un)
-    g_uu = _diff_unstar(g_un)
     n = theta.size
     psi_star = b * sc["cov"] * sc["q"] * theta_star
     psi = b * sc["cov"] * sc["q"] * theta
@@ -265,17 +268,13 @@ def _critical_grid(sc: dict, pc: dict, theta_star, theta):
     res = np.inf
     for _ in range(_GRID_MAX_ITER):
         r = np.empty((n, 4), dtype=complex)
-        r[:, 0] = lin * phi_star + _poly_val(g_un, phi_star, phi) - drive * psi_star
-        r[:, 1] = lin * phi + _poly_val(g_star, phi_star, phi) - drive * psi
+        r[:, 0], r[:, 1] = rows(phi_star, phi, drive * psi_star, drive * psi)
         r[:, 2] = m_crit * psi_star - src_star - cpl * phi_star
         r[:, 3] = m_crit * psi - src - cpl * phi
         res = float(np.abs(r).max())
         if res <= _GRID_TOL:
             return phi_star, phi, psi_star, psi
-        jac[:, 0, 0] = lin + _poly_val(g_us, phi_star, phi)
-        jac[:, 0, 1] = _poly_val(g_uu, phi_star, phi)
-        jac[:, 1, 0] = _poly_val(g_ss, phi_star, phi)
-        jac[:, 1, 1] = lin + _poly_val(g_su, phi_star, phi)
+        jac[:, 0, 0], jac[:, 0, 1], jac[:, 1, 0], jac[:, 1, 1] = jacobian(phi_star, phi)
         step = np.linalg.solve(jac, r[:, :, None])[:, :, 0]
         phi_star = phi_star - step[:, 0]
         phi = phi - step[:, 1]

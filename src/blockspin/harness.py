@@ -110,8 +110,9 @@ _ENTRIES = {
                 "profile": (lambda x: _list_of(x, _real),
                             "need a list of finite real numbers")},
     "interaction": {
-        "bidegrees": (lambda x: _list_of(x, lambda p: _list_of(p, lambda v: _int_in(v, 0), 2)),
-                      "need pairs of nonnegative integers"),
+        "bidegrees": (lambda x: _list_of(x, lambda p: _list_of(p, lambda v: _int_in(v, 0), 2)
+                                         and sum(p) >= 2),
+                      "need pairs of nonnegative integers of total degree >= 2"),
         "scale": _POSITIVE},
     "tolerances": dict.fromkeys(TOLERANCES, _POSITIVE),
     "quadrature": {"nodes_per_axis": (lambda x: _int_in(x, 4), "need an integer >= 4"),

@@ -75,21 +75,11 @@ class PolynomialP:
 def _gradient_map(monomials: dict, gram_inv: np.ndarray, starred: bool) -> dict:
     out: dict = {}
     for (a, b) in sorted(monomials):
-        t = monomials[(a, b)]
-        if starred:
-            if a == 0:
-                continue
-            # free one starred slot (the last of its group), axis a-1
-            moved = np.moveaxis(t, a - 1, 0)
-            tensor = a * np.tensordot(gram_inv, moved, axes=([1], [0]))
-            key = (a - 1, b)
-        else:
-            if b == 0:
-                continue
-            moved = np.moveaxis(t, a + b - 1, 0)
-            tensor = b * np.tensordot(gram_inv, moved, axes=([1], [0]))
-            key = (a, b - 1)
-        tp.add_into(out, key, tensor)
+        # free the last slot of the group and contract it with gram_inv
+        mult, axis, key = (a, a - 1, (a - 1, b)) if starred else (b, a + b - 1, (a, b - 1))
+        if mult:
+            moved = np.moveaxis(monomials[(a, b)], axis, 0)
+            tp.add_into(out, key, mult * tp._dot_axis(gram_inv, moved, 1))
     return {k: v for k, v in sorted(out.items())}
 
 

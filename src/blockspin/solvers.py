@@ -141,7 +141,7 @@ def _graded_solve(eq: _GradedSystem, max_order: int, assumption: str) -> SeriesP
             comp = tp.compose(high, coeffs_star, coeffs_unstar, n)
             for key, t in sorted(comp.items()):
                 if key[0] + key[1] == n:
-                    tp.add_into(rhs, key, np.tensordot(feed, t, axes=([1], [0])))
+                    tp.add_into(rhs, key, tp._dot_axis(feed, t, 1))
         for key in sorted(set(rhs_star) | set(rhs_unstar)):
             empty = np.zeros((dim,) + (in_dim,) * (key[0] + key[1]), dtype=complex)
             coeffs_star[key], coeffs_unstar[key] = _paired_block_solve(
@@ -499,7 +499,7 @@ def _graded_residuals(eq: _GradedSystem, pair: SeriesPair) -> dict:
             comp = tp.compose(outer, pair.starred.coeffs, pair.unstarred.coeffs,
                               pair.max_order)
             for k, t in sorted(comp.items()):
-                tp.add_into(res, k, -np.tensordot(feed, t, axes=([1], [0])))
+                tp.add_into(res, k, -tp._dot_axis(feed, t, 1))
         tp.add_into(res, key, -drive)
         for k, t in sorted(res.items()):
             out[f"{label} ({k[0]},{k[1]})"] = float(np.linalg.norm(t.reshape(-1)))

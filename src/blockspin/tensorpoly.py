@@ -13,14 +13,15 @@ is a normal form rather than a restriction.
 
 All iteration over dict keys is sorted.  That fixes the floating-point
 accumulation order, which keeps repeated runs (and runs fed the same
-monomials in a different order) bitwise identical.
+monomials in a different order) bitwise identical.  ``_dot_axis`` is the
+package's one tensor contraction, here and in ``poly`` and ``solvers``.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import numpy as np
 
@@ -56,21 +57,24 @@ def symmetry_defect(t: np.ndarray, kstar: int, k: int, leading_axes: int = 1) ->
     return float(np.abs(t - s).max(initial=0.0)) / scale
 
 
-def _dot_last(t: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Contract the last axis of ``t`` with the vector ``v``: the same
-    ``np.dot`` call on the same views that ``np.tensordot(t, v, axes=([t.ndim
-    - 1], [0]))`` makes, without its axis bookkeeping."""
-    n = v.shape[0]
-    return np.dot(t.reshape(-1, n), v.reshape(n, 1)).reshape(t.shape[:-1])
+def _dot_axis(a: np.ndarray, b: np.ndarray, axis: int) -> np.ndarray:
+    """Contract axis ``axis`` of ``a`` with the first axis of ``b``: numpy's
+    one-pair tensor contraction (the same transpose, reshapes and ``np.dot``
+    call on the same views, so the same bits) without its argument handling.
+    The transpose is skipped when ``axis`` is last, where it is the identity."""
+    n, outer, tail = a.shape[axis], a.shape[:axis] + a.shape[axis + 1:], b.shape[1:]
+    if axis != a.ndim - 1:
+        a = a.transpose((*range(axis), *range(axis + 1, a.ndim), axis))
+    return np.dot(a.reshape(prod(outer), n), b.reshape(n, prod(tail))).reshape(outer + tail)
 
 
 def contract_all(t: np.ndarray, kstar: int, k: int, ustar: np.ndarray, u: np.ndarray,
                  leading_axes: int = 1):
     """Plug ustar into every starred slot and u into every unstarred one."""
     for _ in range(k):
-        t = _dot_last(t, u)
+        t = _dot_axis(t, u, t.ndim - 1)
     for _ in range(kstar):
-        t = _dot_last(t, ustar)
+        t = _dot_axis(t, ustar, t.ndim - 1)
     return t if leading_axes else complex(t)
 
 
@@ -102,9 +106,9 @@ def jacobians(coeffs: dict, ustar: np.ndarray, u: np.ndarray, out_dim: int,
         if b >= 1:
             m = t
             for _ in range(b - 1):
-                m = _dot_last(m, u)
+                m = _dot_axis(m, u, m.ndim - 1)
             for _ in range(a):
-                m = np.tensordot(m, ustar, axes=([1], [0]))
+                m = _dot_axis(m, ustar, 1)
             j_u += b * m
     return j_star, j_u
 
@@ -122,13 +126,13 @@ def shift_map(coeffs: dict, base_star: np.ndarray, base: np.ndarray) -> dict:
         t = coeffs[(a, b)]
         for j in range(b, -1, -1):
             if j < b:
-                t = _dot_last(t, base)
+                t = _dot_axis(t, base, t.ndim - 1)
             t_star = t
             for i in range(a, -1, -1):
                 if i < a:
                     # last remaining starred axis sits right after the
                     # leading output axis block
-                    t_star = np.tensordot(t_star, base_star, axes=([i + 1], [0]))
+                    t_star = _dot_axis(t_star, base_star, i + 1)
                 add_into(out, (i, j), comb(a, i) * comb(b, j) * t_star)
     return {k: v for k, v in sorted(out.items())}
 
@@ -142,7 +146,7 @@ def add_into(target: dict, key, tensor: np.ndarray) -> None:
 
 def apply_matrix(mat: np.ndarray, coeffs: dict) -> dict:
     """Post-compose a vector-valued map with a linear operator."""
-    return {k: np.tensordot(mat, v, axes=([1], [0])) for k, v in sorted(coeffs.items())}
+    return {k: _dot_axis(mat, v, 1) for k, v in sorted(coeffs.items())}
 
 
 def compose(outer: dict, inner_star: dict, inner_unstar: dict, max_order: int) -> dict:
@@ -185,7 +189,7 @@ def compose(outer: dict, inner_star: dict, inner_unstar: dict, max_order: int) -
                           + [inner_unstar[k] for k in assign_u])
                 cur = t
                 for i in range(len(inners), 0, -1):
-                    cur = np.tensordot(cur, inners[i - 1], axes=([lead + i - 1], [0]))
+                    cur = _dot_axis(cur, inners[i - 1], lead + i - 1)
                 # group axes now sit at the tail in reverse slot order;
                 # gather starred axes of all groups first, then unstarred
                 star_axes, unstar_axes = [], []

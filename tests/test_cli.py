@@ -1,17 +1,48 @@
-"""End-to-end runs of the command line interface via subprocess."""
+"""End-to-end runs of the command line interface.
 
+Most tests call ``cli.main`` in this process, which is what a fresh
+``python -m blockspin`` runs (the package keeps no state between calls).
+Two tests run the module in a subprocess, so the entry point and real
+process exit codes stay covered.
+"""
+
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import traceback
 from pathlib import Path
+
+from blockspin import cli
 
 REPO = Path(__file__).resolve().parent.parent
 SRM = REPO / "scenarios" / "srm.json"
 
 
-def run_cli(*args, **kwargs):
+def run_cli(*args):
+    """``cli.main(args)`` from the repo directory, with stdout and stderr
+    captured, as the interpreter would run it: a ``SystemExit`` gives its
+    code, and any other exception a traceback on stderr and code 1."""
+    out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
+    with contextlib.chdir(REPO), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:
+            code = 0 if exc.code is None else exc.code
+        except Exception:
+            traceback.print_exc()
+            code = 1
+    out.flush()
+    return subprocess.CompletedProcess(args, code, out.buffer.getvalue().decode(),
+                                       err.getvalue())
+
+
+def run_module(*args):
+    """``python -m blockspin args`` in a fresh process."""
     return subprocess.run([sys.executable, "-m", "blockspin", *args],
-                          capture_output=True, text=True, cwd=REPO, **kwargs)
+                          capture_output=True, text=True, cwd=REPO)
 
 
 def write_config(tmp_path, **overrides):
@@ -32,7 +63,7 @@ def test_verify_passes_and_emits_json(tmp_path):
 
 
 def test_verify_reference_scenario_passes():
-    out = run_cli("verify", "--config", str(SRM), "--suite", "woodbury",
+    out = run_module("verify", "--config", str(SRM), "--suite", "woodbury",
                   "--suite", "gaussian-detd")
     assert out.returncode == 0, out.stderr
     report = json.loads(out.stdout)
@@ -228,3 +259,28 @@ def test_unknown_format_is_usage_error(tmp_path):
     cfg = write_config(tmp_path)
     out = run_cli("verify", "--config", str(cfg), "--format", "yaml")
     assert out.returncode == 2
+
+
+LOW_DEGREE = {"bidegrees": [[1, 2], [0, 1]]}
+FIELD = "'interaction.bidegrees'"
+
+
+def test_low_degree_bidegree_is_a_config_error(tmp_path):
+    """A bidegree of total degree below 2 is a config error for every
+    command, also for a verify whose suites never build the interaction."""
+    cfg = write_config(tmp_path, suites=["lattice"], interaction=LOW_DEGREE)
+    point = tmp_path / "point.json"
+    point.write_text(json.dumps({"theta_star": [0.1], "theta": [0.1]}))
+    for args in (("kernels",), ("solve-critical", "--point", str(point)), ("verify",)):
+        out = run_cli(*args, "--config", str(cfg))
+        assert out.returncode == 2, (args, out.stderr)
+        assert FIELD in out.stderr and "total degree >= 2" in out.stderr
+        assert "Traceback" not in out.stderr
+
+
+def test_module_exits_2_on_config_error(tmp_path):
+    cfg = write_config(tmp_path, interaction=LOW_DEGREE)
+    out = run_module("kernels", "--config", str(cfg))
+    assert out.returncode == 2
+    assert FIELD in out.stderr
+    assert "Traceback" not in out.stderr

@@ -112,3 +112,8 @@ def test_scanner_ignores_a_namesake_in_another_module():
 def test_no_public_def_is_read_only_by_tests():
     unread = unread_public_defs({p.stem: p.read_text() for p in MODULES})
     assert sorted(n.split(".")[1] for n in unread) == sorted(UNREAD_ALLOWED), unread
+
+
+def test_one_contraction_primitive():
+    """``tensorpoly._dot_axis`` is the package's one tensor contraction."""
+    assert [p.name for p in PACKAGE.glob("*.py") if "tensordot" in p.read_text()] == []

@@ -235,3 +235,46 @@ def test_jacobians_match_finite_differences():
         assert np.allclose(j_star[:, i], num, atol=1e-8)
         num = (tp.eval_map(coeffs, ustar, u + e, 2) - tp.eval_map(coeffs, ustar, u - e, 2)) / (2 * h)
         assert np.allclose(j_u[:, i], num, atol=1e-8)
+
+
+def same_bytes(x: np.ndarray, y: np.ndarray) -> bool:
+    return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+def draw(rng, shape, complex_entries: bool) -> np.ndarray:
+    x = rng.standard_normal(shape)
+    return x + 1j * rng.standard_normal(shape) if complex_entries else x
+
+
+DTYPE_MIXES = [(False, False), (False, True), (True, False), (True, True)]
+
+
+@pytest.mark.parametrize("mix", DTYPE_MIXES, ids=["rr", "rc", "cr", "cc"])
+@pytest.mark.parametrize("ndim, axis", [(d, k) for d in range(1, 6) for k in range(d)])
+def test_dot_axis_has_the_bits_of_tensordot(ndim, axis, mix):
+    rng = rng_for(100 + 10 * ndim + axis)
+    a = draw(rng, (4, 3, 5, 2, 3)[:ndim], mix[0])
+    n = a.shape[axis]
+    for tail in ((), (3,), (2, 3)):  # b a vector, a matrix, a 3-tensor
+        b = draw(rng, (n,) + tail, mix[1])
+        assert same_bytes(tp._dot_axis(a, b, axis),
+                          np.tensordot(a, b, axes=([axis], [0])))
+
+
+def thin_and_strided_operands(rng):
+    t = draw(rng, (3, 4, 5, 2), True)
+    yield np.moveaxis(t, 2, 0), 1, draw(rng, (3, 4), True)  # moveaxis view
+    yield np.moveaxis(t, 3, 0), 3, draw(rng, (5,), False)
+    yield t.T, 0, draw(rng, (2, 2), True)                     # transposed a
+    yield draw(rng, (4, 5), False).T, 1, draw(rng, (4,), True)
+    yield draw(rng, (1, 6), True), 1, draw(rng, (6, 1), True)  # one row
+    yield draw(rng, (6, 1), True), 0, draw(rng, (6,), False)   # one column
+    yield draw(rng, (1, 6), False), 0, draw(rng, (1, 3), True)
+    yield draw(rng, (6, 1), True), 1, draw(rng, (1,), True)
+
+
+def test_dot_axis_has_the_bits_of_tensordot_on_views_and_thin_shapes():
+    for a, axis, b in thin_and_strided_operands(rng_for(99)):
+        assert not a.flags.c_contiguous or 1 in a.shape
+        assert same_bytes(tp._dot_axis(a, b, axis),
+                          np.tensordot(a, b, axes=([axis], [0])))
