@@ -240,10 +240,12 @@ def _background_jacobian(spec: ActionSpec, fs: np.ndarray, fu: np.ndarray) -> np
     core = rg.qms_fq_qm
     ju_s, ju_u = tp.jacobians(spec.p.grad_unstar_coeffs(), fs, fu, dm, dm)
     js_s, js_u = tp.jacobians(spec.p.grad_star_coeffs(), fs, fu, dm, dm)
-    return np.block([
-        [core + rg.dstar + ju_s, ju_u],
-        [js_s, core + rg.d.entries + js_u],
-    ])
+    jac = np.empty((2 * dm, 2 * dm), dtype=complex)
+    jac[:dm, :dm] = core + rg.dstar + ju_s
+    jac[:dm, dm:] = ju_u
+    jac[dm:, :dm] = js_s
+    jac[dm:, dm:] = core + rg.d.entries + js_u
+    return jac
 
 
 def _damped_newton(residual, jacobian, z0: np.ndarray, tol: float, max_iter: int,

@@ -14,6 +14,8 @@ import sys
 import traceback
 from pathlib import Path
 
+import pytest
+
 from blockspin import cli
 
 REPO = Path(__file__).resolve().parent.parent
@@ -217,6 +219,22 @@ def test_verify_exit_2_on_bad_operator_table(tmp_path):
         assert out.returncode == 2, out.stdout
         assert detail in out.stderr
         assert "Traceback" not in out.stderr
+
+
+def test_kernels_exit_2_with_inf_cond_when_the_svd_overflows(tmp_path):
+    """q = 1e300 overflows (1/b) + q fq^{-1} q*; its condition number is
+    reported as inf, not nan."""
+    raw = json.loads(SRM.read_text())
+    raw["operators"]["q"] = [[1e300]]
+    raw["polynomial"] = str(SRM.parent / raw["polynomial"])
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text(json.dumps(raw))
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        out = run_cli("kernels", "--config", str(cfg))
+    assert out.returncode == 2
+    assert ("(1/b) + q fq^{-1} q*: estimated condition number inf exceeds the limit"
+            in out.stderr), out.stderr
+    assert "nan" not in out.stderr and "Traceback" not in out.stderr
 
 
 BAD_RECORDS = [

@@ -197,3 +197,138 @@ def test_form_asymmetry_detects():
     assert form_asymmetry(sym) < 1e-15
     asym = Operator(s, s, np.array([[2.0, 1.0], [0.0, 3.0]]))
     assert form_asymmetry(asym) > 0.1
+
+
+# ---------------------------------------------------------------------------
+# the Cholesky certificate in front of the SVD gate
+
+def svd_only_gate(mat, assumption):
+    """The gate as it was before the certificate: the SVD decides alone."""
+    c = cond(mat)
+    if not np.isfinite(c) or c > linalg.COND_LIMIT:
+        raise NearSingularError(assumption, c, linalg.COND_LIMIT)
+    return mat
+
+
+def gate_outcome(gate_fn, mat):
+    try:
+        out = gate_fn(mat, "property matrix")
+    except Exception as err:  # noqa: BLE001 - the outcomes are compared
+        return (type(err), getattr(err, "assumption", None), getattr(err, "cond", None))
+    assert out is mat
+    return "accept"
+
+
+def unitary(rng, n, complex_entries):
+    a = rng.standard_normal((n, n))
+    if complex_entries:
+        a = a + 1j * rng.standard_normal((n, n))
+    q, r = np.linalg.qr(a)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+NON_FINITE = {"nan": np.nan, "+inf": np.inf, "-inf": -np.inf}
+KINDS = ["cond", "cond", "cond", "rank-deficient", "singular", "zero", *NON_FINITE]
+SCALES = [1.0, 1.0, 1e-200, 1e200, 1e-130, 1e-155, 1e-160, 1e120]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(n=st.one_of(st.integers(1, 4), st.integers(1, 64)), log_cond=st.floats(0.0, 12.0), kind=st.sampled_from(KINDS),
+       scale=st.sampled_from(SCALES), complex_entries=st.booleans(),
+       as_operator=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_certified_gate_decides_like_the_svd_gate(n, log_cond, kind, scale, complex_entries,
+                                                  as_operator, seed):
+    """Accept or reject, the exception's type and assumption, and its cond
+    are those of the SVD-only gate, from cond 1 to 1e12, on rank-deficient,
+    exactly singular, zero and non-finite matrices and at extreme scales
+    (near 1e-155 the Gram matrix is subnormal)."""
+    rng = rng_for(seed)
+    sigma = np.logspace(0.0, -log_cond, n)
+    if kind == "rank-deficient":
+        sigma[-1] = 0.0
+    m = (unitary(rng, n, complex_entries) * sigma) @ unitary(rng, n, complex_entries).conj().T
+    if kind == "singular":  # a repeated column, or a zero one at n = 1
+        m[:, -1] = m[:, 0] if n > 1 else 0.0
+    elif kind == "zero":
+        m = np.zeros_like(m)
+    elif kind in NON_FINITE:
+        m[rng.integers(n), rng.integers(n)] = NON_FINITE[kind]
+    with np.errstate(all="ignore"):
+        m = m * scale
+    mat = Operator(SpaceSpec(n), SpaceSpec(n), m) if as_operator else m
+    assert gate_outcome(linalg.gate, mat) == gate_outcome(svd_only_gate, mat)
+
+
+def test_certificate_declines_where_the_gram_underflows():
+    """Near 1e-155 fl(m^H m) is subnormal and its rounding is no longer
+    relative.  Without its lower bound on Re trace(m^H m) the certificate
+    accepted about a third of these rank-deficient matrices."""
+    rng = rng_for(7)
+    for n in range(2, 9):
+        for scale in (1e-155, 1e-160):
+            for complex_entries in (False, True):
+                for _ in range(5):
+                    sigma = np.logspace(0.0, -6.0, n)
+                    sigma[-1] = 0.0
+                    m = (unitary(rng, n, complex_entries) * sigma
+                         @ unitary(rng, n, complex_entries).conj().T) * scale
+                    with pytest.raises(NearSingularError):
+                        linalg.gate(m, "subnormal gram")
+
+
+def counting_cond(monkeypatch):
+    """Route linalg.cond through a counter; return the list of its values."""
+    values = []
+    real_cond = linalg.cond
+
+    def counted(a):
+        values.append(real_cond(a))
+        return values[-1]
+
+    monkeypatch.setattr(linalg, "cond", counted)
+    return values
+
+
+def test_gate_certifies_the_solve_lattice_newton_without_an_svd(monkeypatch):
+    """One newton_critical on the 32/8/2 lattice step of the solve-lattice
+    benchmark workload passes its 64x64 and 16x16 jacobians through the
+    gate on the certificate alone."""
+    from blockspin import ensembles, harness, solvers
+    cfg = harness.ScenarioConfig.from_dict({
+        "seed": 1, "suites": [], "lattice": {"extents": [8, 4], "block": [2, 2]},
+        "interaction": {"bidegrees": [[1, 2], [0, 3]], "scale": 0.2}})
+    spec = harness.scenario_spec(cfg)
+    rng = ensembles.stream(1, "certified-gate")
+    sp = spec.rg.space_plus
+    theta_star, theta = ensembles.unit_field(rng, sp, 0.2), ensembles.unit_field(rng, sp, 0.2)
+    gated = []
+    real_gated_solve = solvers.gated_solve
+    monkeypatch.setattr(solvers, "gated_solve",
+                        lambda m, rhs, what: gated.append(m.shape) or real_gated_solve(m, rhs, what))
+    conds = counting_cond(monkeypatch)
+    solvers.newton_critical(spec, theta_star, theta)
+    assert (64, 64) in gated and (16, 16) in gated
+    assert conds == []
+
+
+def test_gate_sends_what_the_certificate_declines_to_one_svd(monkeypatch):
+    conds = counting_cond(monkeypatch)
+    # cond 5e7: above what the certificate can prove, accepted by the SVD
+    m = np.diag([1.0, 2e-8])
+    assert linalg.gate(m, "between") is m
+    assert conds == [pytest.approx(5e7)]
+    # cond 2e8: the SVD's value is the one the error carries
+    m = np.diag([1.0, 5e-9]) + 0j
+    with pytest.raises(NearSingularError) as err:
+        linalg.gate(m, "beyond")
+    assert len(conds) == 2 and err.value.cond == conds[1] == cond(m)
+    assert err.value.assumption == "beyond"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_cond_of_a_non_finite_matrix_is_inf(bad):
+    m = np.array([[1.0, bad], [0.0, 1.0]])
+    assert cond(m) == np.inf
+    with pytest.raises(NearSingularError) as err:
+        linalg.gated_solve(m, np.ones(2), "non-finite")
+    assert err.value.cond == np.inf and "inf" in str(err.value)
