@@ -220,27 +220,39 @@ def _background_equations(sc: dict, pc: dict):
     return lin, drive, rows, jacobian
 
 
+def _grid_newton(residual, step, z, what: str):
+    """Newton vectorized over a node grid, from the unknowns ``z``:
+    ``residual(z)`` is an array of every node's residual rows and
+    ``step(z, r)`` the next unknowns.  Stops when the largest residual
+    entry is within _GRID_TOL; a NaN anywhere reads as not converged."""
+    res = np.inf
+    for _ in range(_GRID_MAX_ITER):
+        r = residual(z)
+        res = float(np.abs(r).max())
+        if res <= _GRID_TOL:
+            return z
+        z = step(z, r)
+    raise ConvergenceError(
+        f"{what} grid: no convergence after {_GRID_MAX_ITER} iterations "
+        f"(max residual {res:.3e}, tolerance {_GRID_TOL:.3e})")
+
+
 def _background_grid(sc: dict, pc: dict, psi_star, psi):
     """Newton on the pair of background equations, vectorized over nodes;
     the per-node solve is a closed-form Cramer step."""
     lin, drive, rows, jacobian = _background_equations(sc, pc)
     f_star = drive * psi_star
     f_un = drive * psi
-    phi_star = f_star / lin
-    phi = f_un / lin
-    res = np.inf
-    for _ in range(_GRID_MAX_ITER):
-        r_star, r_un = rows(phi_star, phi, f_star, f_un)
-        res = max(float(np.abs(r_star).max()), float(np.abs(r_un).max()))
-        if res <= _GRID_TOL:
-            return phi_star, phi
+
+    def step(z, r):
+        (phi_star, phi), (r_star, r_un) = z, r
         j11, j12, j21, j22 = jacobian(phi_star, phi)
         det = j11 * j22 - j12 * j21
-        phi_star = phi_star - (j22 * r_star - j12 * r_un) / det
-        phi = phi - (j11 * r_un - j21 * r_star) / det
-    raise ConvergenceError(
-        f"background grid: no convergence after {_GRID_MAX_ITER} iterations "
-        f"(max residual {res:.3e}, tolerance {_GRID_TOL:.3e})")
+        return (phi_star - (j22 * r_star - j12 * r_un) / det,
+                phi - (j11 * r_un - j21 * r_star) / det)
+
+    return _grid_newton(lambda z: np.array(rows(*z, f_star, f_un)), step,
+                        (f_star / lin, f_un / lin), "background")
 
 
 def _critical_grid(sc: dict, pc: dict, theta_star, theta):
@@ -254,8 +266,6 @@ def _critical_grid(sc: dict, pc: dict, theta_star, theta):
     n = theta.size
     psi_star = b * sc["cov"] * sc["q"] * theta_star
     psi = b * sc["cov"] * sc["q"] * theta
-    phi_star = drive * psi_star / lin
-    phi = drive * psi / lin
     src_star = b * sc["q"] * theta_star
     src = b * sc["q"] * theta
     jac = np.zeros((n, 4, 4), dtype=complex)
@@ -265,64 +275,46 @@ def _critical_grid(sc: dict, pc: dict, theta_star, theta):
     jac[:, 2, 2] = m_crit
     jac[:, 3, 1] = -cpl
     jac[:, 3, 3] = m_crit
-    res = np.inf
-    for _ in range(_GRID_MAX_ITER):
+
+    def residual(z):
+        phi_star, phi, psi_star, psi = z
         r = np.empty((n, 4), dtype=complex)
         r[:, 0], r[:, 1] = rows(phi_star, phi, drive * psi_star, drive * psi)
         r[:, 2] = m_crit * psi_star - src_star - cpl * phi_star
         r[:, 3] = m_crit * psi - src - cpl * phi
-        res = float(np.abs(r).max())
-        if res <= _GRID_TOL:
-            return phi_star, phi, psi_star, psi
-        jac[:, 0, 0], jac[:, 0, 1], jac[:, 1, 0], jac[:, 1, 1] = jacobian(phi_star, phi)
-        step = np.linalg.solve(jac, r[:, :, None])[:, :, 0]
-        phi_star = phi_star - step[:, 0]
-        phi = phi - step[:, 1]
-        psi_star = psi_star - step[:, 2]
-        psi = psi - step[:, 3]
-    raise ConvergenceError(
-        f"critical grid: no convergence after {_GRID_MAX_ITER} iterations "
-        f"(max residual {res:.3e}, tolerance {_GRID_TOL:.3e})")
+        return r
+
+    def step(z, r):
+        jac[:, 0, 0], jac[:, 0, 1], jac[:, 1, 0], jac[:, 1, 1] = jacobian(*z[:2])
+        dz = np.linalg.solve(jac, r[:, :, None])[:, :, 0]
+        return tuple(v - dz[:, k] for k, v in enumerate(z))
+
+    return _grid_newton(residual, step, (drive * psi_star / lin, drive * psi / lin,
+                                         psi_star, psi), "critical")
 
 
 def _coupling_rowsum(b: float, q: float, theta: np.ndarray, u: np.ndarray,
                      w_vals: np.ndarray) -> np.ndarray:
     """sum_u exp(-b |theta_j - q u|^2) w_vals[u], blocked over theta rows.
 
-    Blocks of at most ``rows`` theta rows reuse three preallocated
-    (rows, u.size) buffers, so a call allocates no array of the full grid's
-    size.  Each block runs the elementwise ufuncs of the dense form
-    ``np.exp(-b * np.abs(theta[:, None] - q u) ** 2) @ w_vals`` in the
-    same order and dtypes, on contiguous operands, with ``out=``.  The
-    kernel values then sit in the real part of a complex buffer whose
-    imaginary part stays zero, which is the (x, 0) cast that real @ complex
-    makes, so ``@`` runs the same zgemv.  A gemv row's bits do not depend
-    on how many rows share the call, but a one-row product takes numpy's
-    dot path instead, whose bits differ.  So the rows split into spans of
-    256, the dense form's chunks, and no span is cut so as to leave a
-    one-row block: only a span of one row gets one.
+    Each block of at most 16 theta rows is the dense form
+    ``np.exp(-b * np.abs(theta[:, None] - q u) ** 2) @ w_vals`` on those
+    rows, so the temporaries stay 16 rows long whatever the grid's size.
+    A row's bits do not depend on how many rows share the product, except
+    that a one-row product takes numpy's dot path, whose bits differ.  So
+    the rows split into spans of 256, the dense form's chunks, and no span
+    is cut so as to leave a one-row block: only a span of one row gets one.
     """
     rows, span = 16, 256
     out = np.empty(theta.shape, dtype=complex)
     qu = q * u
-    shape = (min(rows, theta.size), u.size)
-    diff = np.empty(shape, dtype=complex)
-    mag = np.empty(shape)
-    kern = np.zeros(shape, dtype=complex)
     lo = 0
     while lo < theta.size:
         end = min(lo - lo % span + span, theta.size)
         hi = min(lo + rows, end)
         if end - hi == 1:
             hi -= 1
-        d, r, k = diff[:hi - lo], mag[:hi - lo], kern[:hi - lo]
-        np.subtract(theta[lo:hi, None], qu[None, :], out=d)
-        np.abs(d, out=r)
-        np.square(r, out=r)
-        np.multiply(-b, r, out=r)
-        np.exp(r, out=r)
-        k.real = r
-        np.matmul(k, w_vals, out=out[lo:hi])
+        out[lo:hi] = np.exp(-b * np.abs(theta[lo:hi, None] - qu) ** 2) @ w_vals
         lo = hi
     return out
 

@@ -297,6 +297,15 @@ def _operator_step(operators: dict, dims, b: float) -> RGData:
         raise ConfigError(f"config field 'operators': {exc}") from exc
 
 
+def _step_dims(cfg: ScenarioConfig) -> tuple[int, int, int]:
+    """The step's dimensions when the scenario has no lattice: ``dims``,
+    else the shapes of the operator table, else the default (3, 2, 1)."""
+    if cfg.dims is None and cfg.operators is not None:
+        qm, q = cfg.operators["q_minus"], cfg.operators["q"]
+        return len(qm[0]), len(qm), len(q)
+    return cfg.dims or (3, 2, 1)
+
+
 def _block_scheme(lattice: dict) -> BlockScheme:
     """The scenario's block scheme; BlockScheme's own rules check the profile."""
     profile = lattice.get("profile")
@@ -331,8 +340,7 @@ def scenario_data(cfg: ScenarioConfig) -> RGData:
                       b=cfg.b, fq=fq, d=d)
     if cfg.operators is not None:
         return _operator_step(cfg.operators, cfg.dims, cfg.b)
-    dims = cfg.dims if cfg.dims is not None else (3, 2, 1)
-    return random_rg_data(stream(cfg.seed, "scenario"), dims, b=cfg.b,
+    return random_rg_data(stream(cfg.seed, "scenario"), _step_dims(cfg), b=cfg.b,
                           identity_grams=(cfg.grams == "identity"))
 
 
@@ -666,7 +674,7 @@ def _suite_gaussian_quadrature(cfg: ScenarioConfig) -> SuiteResult:
     """Disc-quadrature form of the split; scenario data when it is a
     one-dimensional identity-form setup, the reference family otherwise."""
     tol = cfg.tolerance("gaussian-quadrature")
-    if cfg.lattice is None and cfg.dims == (1, 1, 1) and cfg.grams == "identity":
+    if cfg.lattice is None and cfg.grams == "identity" and _step_dims(cfg) == (1, 1, 1):
         spec, note = scenario_spec(cfg), "scenario data"
     else:
         spec, note = scalar_reference_spec(g=0.05), "reference family, g = 0.05"

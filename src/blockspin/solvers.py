@@ -462,9 +462,6 @@ def delta_a_formula(spec: ActionSpec, theta_star, theta, dpsi_star, dpsi,
     ds = components(dpsi_star)
     du = components(dpsi)
     value = pairing(FieldVector(smid, ds), spec.kernels.cov_inv.apply(du))
-    if spec.p.is_zero and increment_plus is None:
-        return complex(value)
-
     if increment_plus is None:
         increment_plus = delta_phi_plus_series(spec, theta_star, theta, max_degree)
     if isinstance(increment_plus, SeriesPair):

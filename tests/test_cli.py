@@ -15,11 +15,16 @@ import traceback
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockspin import cli
+from blockspin.errors import ConfigError
+from blockspin.harness import ScenarioConfig
 
 REPO = Path(__file__).resolve().parent.parent
-SRM = REPO / "scenarios" / "srm.json"
+SCENARIOS = REPO / "scenarios"
+SRM = SCENARIOS / "srm.json"
 
 
 def run_cli(*args):
@@ -302,3 +307,73 @@ def test_module_exits_2_on_config_error(tmp_path):
     assert out.returncode == 2
     assert FIELD in out.stderr
     assert "Traceback" not in out.stderr
+
+
+# The mutable fields and their values; a case mutates at most two of them.
+MUTATIONS = {
+    "b": st.sampled_from([1e-8, 0.5, 2.0, 1e6, 1e300, 0.0, -1.0]),
+    "dims": st.sampled_from([[1, 1, 1], [3, 2, 1], [4, 3, 2], [2, 2, 2], [0, 1, 1], "drop"]),
+    "grams": st.sampled_from(["identity", "random", "diagonal"]),
+    "max_order": st.integers(0, 9),
+    "interaction": st.fixed_dictionaries({
+        "bidegrees": st.lists(st.lists(st.integers(0, 3), min_size=2, max_size=2),
+                              max_size=3),
+        "scale": st.sampled_from([0.0, 0.05, 0.2, 1.0, -0.5])}),
+    "operator": st.tuples(st.sampled_from(["q_minus", "q", "fq", "d"]),
+                          st.sampled_from([0.0, -1.0, 1e-12, 1e300])),
+    "radii": st.lists(st.sampled_from([1e-3, 0.5, 1.0, 3.0, 1000.0, 0.0, -1.0]),
+                      min_size=2, max_size=2),
+}
+
+
+@st.composite
+def mutated_scenarios(draw):
+    """A shipped scenario with some fields mutated, cheap quadrature nodes,
+    and a point for its coarse field."""
+    raw = json.loads((SCENARIOS / draw(st.sampled_from(["default.json", "srm.json"])))
+                     .read_text())
+    if "polynomial" in raw:
+        raw["polynomial"] = str(SCENARIOS / raw["polynomial"])
+    for key in draw(st.lists(st.sampled_from(sorted(MUTATIONS)), max_size=2, unique=True)):
+        value = draw(MUTATIONS[key])
+        if key == "dims" and value == "drop":
+            raw.pop("dims", None)
+        elif key == "operator":
+            if "operators" in raw:
+                raw["operators"][value[0]] = [[value[1]]]
+        else:
+            if key == "interaction":
+                raw.pop("polynomial", None)
+            raw[key] = value
+    raw["quadrature"] = dict(raw.get("quadrature", {}), nodes_per_axis=draw(st.integers(4, 8)))
+    dims = raw.get("dims")
+    dim_plus = dims[2] if dims else len(raw["operators"]["q"]) if "operators" in raw else 1
+    scale = draw(st.sampled_from([1e-8, 1e-3, 1.0, 1e3, 1e6]))
+    point = {"theta_star": [0.6 * scale] * dim_plus, "theta": [0.8 * scale] * dim_plus}
+    return raw, point
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case=mutated_scenarios())
+def test_fuzzed_configs_exit_0_1_or_2(case, tmp_path_factory):
+    """Each command ends in a verdict, never a traceback, and a config that
+    fails to load exits 2 from every command.  kernels and verify may
+    legitimately differ: b = 1e300 on default.json exits 2 from kernels and
+    0 from verify, whose suites here never build the scenario's step."""
+    raw, point = case
+    tmp = tmp_path_factory.mktemp("fuzz")
+    cfg, pt = tmp / "scenario.json", tmp / "point.json"
+    cfg.write_text(json.dumps(raw))
+    pt.write_text(json.dumps(point))
+    try:
+        ScenarioConfig.from_file(cfg)
+        rejected = False
+    except ConfigError:
+        rejected = True
+    for args in (("kernels",), ("solve-critical", "--point", str(pt)),
+                 ("verify", "--suite", "lattice", "--suite", "gaussian-quadrature")):
+        out = run_cli(*args, "--config", str(cfg))
+        assert out.returncode in (0, 1, 2), (args, raw, point, out.stderr)
+        assert "Traceback" not in out.stderr, (args, raw, point, out.stderr)
+        if rejected:
+            assert out.returncode == 2, (args, raw, out.stderr)

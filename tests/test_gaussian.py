@@ -6,8 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from blockspin import solvers
-from blockspin.errors import BlockspinError, QuadratureError, SpaceMismatchError
+from blockspin import gaussian, solvers
+from blockspin.errors import (BlockspinError, ConvergenceError, QuadratureError,
+                              SpaceMismatchError)
 from blockspin.gaussian import (_coupling_rowsum, _polar_grid, fluctuation_integral,
                                 gaussian_exact, gaussian_source_exact,
                                 insertion_constant, prop_d_gaussian_check,
@@ -380,3 +381,34 @@ def test_quadrature_grids_are_checked(entry, kwargs, name):
             fluctuation_integral(spec, theta, theta, **kwargs)
         else:
             prop_d_quadrature_check(spec, kwargs.pop("radii"), **kwargs)
+
+
+def test_background_grid_reports_no_convergence(monkeypatch):
+    monkeypatch.setattr(gaussian, "_GRID_MAX_ITER", 1)
+    with pytest.raises(ConvergenceError,
+                       match="^background grid: no convergence after 1 iterations"):
+        prop_d_quadrature_check(scalar_reference_spec(g=0.05), (1.0, 1.0), nodes_per_axis=8)
+
+
+def test_critical_grid_reports_no_convergence():
+    # theta out to 1000 drives the critical grid's Newton away from its root
+    with pytest.raises(ConvergenceError,
+                       match=r"^critical grid: no convergence after 60 iterations "
+                             r"\(max residual .*, tolerance 1\.000e-12\)$"):
+        prop_d_quadrature_check(scalar_reference_spec(g=0.05), (1.0, 1000.0), nodes_per_axis=8)
+
+
+def test_grid_newton_reads_a_nan_as_not_converged():
+    # only the second row of the residual is NaN; the first is converged
+    steps = []
+
+    def residual(z):
+        return np.array([[1e-13, 1e-13], [1e-13, np.nan]])
+
+    def step(z, r):
+        steps.append(z)
+        return z
+
+    with pytest.raises(ConvergenceError, match=r"^stub grid: .*\(max residual nan,"):
+        gaussian._grid_newton(residual, step, (np.zeros(2), np.zeros(2)), "stub")
+    assert len(steps) == gaussian._GRID_MAX_ITER

@@ -407,14 +407,20 @@ def test_eda_suite_records_condition_numbers():
     assert conds and all(v >= 1.0 for v in conds.values())
 
 
-def test_quadrature_suite_uses_scenario_when_scalar():
-    ops = {"q_minus": [[1.0]], "q": [[1.0]], "fq": [[1.0]], "d": [[1.0]]}
-    cfg = cfg_from(dims=[1, 1, 1], operators=ops,
-                   suites=["gaussian-quadrature"],
-                   quadrature={"nodes_per_axis": 24})
-    report = run_scenario(cfg)
-    assert report.passed
-    assert report.suites[0].checks[0].note == "scenario data"
+@pytest.mark.parametrize("dims", [[1, 1, 1], None], ids=["dims", "no-dims"])
+def test_quadrature_suite_uses_scenario_when_scalar(dims):
+    """Without dims the step's dimensions are the operator shapes."""
+    ops = {"q_minus": [[1.0]], "q": [[1.0]], "fq": [[2.0]], "d": [[1.0]]}
+
+    def first_check(**extra):
+        report = run_scenario(cfg_from(operators=ops, suites=["gaussian-quadrature"],
+                                       quadrature={"nodes_per_axis": 24}, **extra))
+        assert report.passed
+        return report.suites[0].checks[0]
+
+    check = first_check(**({} if dims is None else {"dims": dims}))
+    assert check.note == "scenario data"
+    assert check.residual == first_check(dims=[1, 1, 1]).residual
 
 
 def test_quadrature_suite_falls_back_to_reference():

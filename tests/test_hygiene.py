@@ -117,3 +117,8 @@ def test_no_public_def_is_read_only_by_tests():
 def test_one_contraction_primitive():
     """``tensorpoly._dot_axis`` is the package's one tensor contraction."""
     assert [p.name for p in PACKAGE.glob("*.py") if "tensordot" in p.read_text()] == []
+
+
+def test_one_grid_newton_loop():
+    """``gaussian._grid_newton`` is the one Newton loop of the quadrature grids."""
+    assert (PACKAGE / "gaussian.py").read_text().count("range(_GRID_MAX_ITER)") == 1
