@@ -101,14 +101,18 @@ class RGData:
         m = self.fq.entries @ self.q_minus.entries
         return Operator(self.space_minus, self.space_mid, m).entries
 
+    # products of huge maps overflow here without numpy's warning; the gate
+    # each one reaches rejects it with its typed error, condition number inf
     @cached_property
     def qms_fq(self) -> np.ndarray:
-        m = self.qms @ self.fq.entries
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = self.qms @ self.fq.entries
         return Operator(self.space_mid, self.space_minus, m).entries
 
     @cached_property
     def qms_fq_qm(self) -> np.ndarray:
-        m = self.qms_fq @ self.q_minus.entries
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = self.qms_fq @ self.q_minus.entries
         return Operator(self.space_minus, self.space_minus, m).entries
 
     @cached_property
@@ -125,7 +129,8 @@ class RGData:
 def qcheck_recursion(data: RGData) -> Operator:
     """Next-scale constraint form, direct definition ((1/b) + q fq^{-1} q*)^{-1}."""
     fq_inv = gated_inverse(data.fq.entries, "fq")
-    m = np.eye(data.space_plus.dim) / data.b + data.q.entries @ fq_inv @ data.qs
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = np.eye(data.space_plus.dim) / data.b + data.q.entries @ fq_inv @ data.qs
     entries = gated_inverse(m, "(1/b) + q fq^{-1} q*")
     return Operator(data.space_plus, data.space_plus, entries)
 

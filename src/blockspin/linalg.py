@@ -9,13 +9,13 @@ Everything is dense and small (dimensions stay below ~64), so exact
 factorizations are cheap and no sparse or lazy machinery is warranted.
 
 Every inversion passes one condition-number gate, ``gate``, with the fixed
-limit COND_LIMIT = 1e8.  It first tries a Gram-Cholesky certificate: with
-G = m^H m and f = ||m||_F^2, the Cholesky factorization of
-G - 4(n+2) eps f 1 succeeding proves sigma_min(m)^2 >= (2n+5) eps ||m||_F^2,
-so cond_2(m) <= 1/sqrt((2n+5) eps) <= 2.54e7, under COND_LIMIT.  Only a
-matrix the certificate declines pays for the SVD in ``cond``, and that SVD
-alone decides it, so every accept, rejection and reported condition number
-is the SVD gate's.
+limit COND_LIMIT = 1e8.  It first tries a Hermitian-part certificate: for a
+square m with f = ||m||_F^2, the Cholesky factorization of
+(m + m^H) - 2 sqrt(f) (1/L + 2 (n+2)^{3/2} eps) 1 succeeding proves
+lambda_min((m + m^H)/2) >= ||m||_F / L, so cond_2(m) <= L = 2.5e7, under
+COND_LIMIT.  Only a matrix the certificate declines pays for the SVD in
+``cond``, and that SVD alone decides it, so every accept, rejection and
+reported condition number is the SVD gate's.
 """
 
 from __future__ import annotations
@@ -29,8 +29,11 @@ from .errors import NearSingularError, SpaceMismatchError
 COND_LIMIT = 1e8
 
 _EPS = float(np.finfo(float).eps)
-# with f = ||m||_F^2 outside this range m^H m may under- or overflow, where the
-# certificate's rounding-error bound does not hold
+# the condition-number bound that the certificate proves, a factor 4 under
+# COND_LIMIT
+_CERT_LIMIT = 2.5e7
+# with f = ||m||_F^2 outside this range the certificate's arithmetic may under-
+# or overflow, where its rounding-error bound does not hold
 _CERT_F_RANGE = (2.0**-900, 2.0**900)
 
 
@@ -168,17 +171,20 @@ def cond(a) -> float:
     return float(s[0] / s[-1])
 
 
-def _cholesky_certified(m: np.ndarray) -> bool:
-    """True only if a Gram-Cholesky test proves cond_2(m) well under
-    COND_LIMIT; False sends ``m`` to the SVD (see ``gate``)."""
+def _certified(m: np.ndarray) -> bool:
+    """True only if a Cholesky test of the Hermitian part of ``m`` proves
+    cond_2(m) <= _CERT_LIMIT; False sends ``m`` to the SVD (see ``gate``)."""
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        return False
+    n = m.shape[0]
     m = m.astype(np.result_type(m.dtype, np.float64), copy=False)
     f = float(np.vdot(m, m).real)
     if not _CERT_F_RANGE[0] <= f <= _CERT_F_RANGE[1]:  # also NaN and inf
         return False
-    g = m.conj().T @ m
-    g.ravel()[::g.shape[0] + 1] -= 4 * (max(m.shape) + 2) * _EPS * f
+    h = m + m.conj().T
+    h.ravel()[::n + 1] -= 2 * np.sqrt(f) * (1 / _CERT_LIMIT + 2 * (n + 2) ** 1.5 * _EPS)
     try:
-        np.linalg.cholesky(g)
+        np.linalg.cholesky(h)
     except np.linalg.LinAlgError:
         return False
     return True
@@ -189,35 +195,40 @@ def gate(mat, assumption: str):
     is at most the fixed COND_LIMIT, else a NearSingularError naming the
     failed invertibility assumption and carrying ``cond(mat)``.
 
-    A Gram-Cholesky certificate accepts first; what it declines goes to the
-    SVD in ``cond``, which alone decides.  For m with n = max(m.shape) and
-    G = m^H m, let f = fl(||m||_F^2), summed by ``np.vdot``.  The
-    certificate declines unless 2^-900 <= f <= 2^900 (NaN and inf entries
-    included) before it forms fl(G), so that nothing in fl(G) under- or
-    overflows; then it subtracts s = 4(n+2) eps f from the diagonal of
-    fl(G) and accepts exactly when ``np.linalg.cholesky`` succeeds.  Why
-    that is safe, in units of eps f and to first order in eps, where
-    trace fl(G) and f both equal ||m||_F^2:
+    A Hermitian-part certificate accepts first; what it declines goes to
+    the SVD in ``cond``, which alone decides.  The certificate declines a
+    non-square m.  For a square m of order n, let f = fl(||m||_F^2), summed
+    by ``np.vdot``, and A = m + m^H.  The certificate declines unless
+    2^-900 <= f <= 2^900 (NaN and inf entries included), so that nothing
+    below under- or overflows; then it forms fl(A), subtracts
+    2s = 2 sqrt(f) (1/L + 2 (n+2)^{3/2} eps) with L = 2.5e7 from its
+    diagonal and accepts exactly when ``np.linalg.cholesky`` succeeds.  Why
+    that is safe, in units of eps ||m||_F and to first order in eps, where
+    sqrt(f) equals ||m||_F:
 
-    - the Gram product errs by ||fl(G) - G||_2 <= gamma_n ||m||_F^2
-      (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
-      sec. 3.5), counted as n+1 to cover complex arithmetic; this holds for
-      whichever triangle the factorization reads;
-    - subtracting s from the diagonal rounds by at most 1;
+    - fl(A) errs entrywise by at most eps/2 |A|, so by at most 1 in the
+      2-norm (||A||_F <= 2 ||m||_F); it is exactly Hermitian with a real
+      diagonal, since real and imaginary parts are added separately;
+    - subtracting 2s from that diagonal, whose entries are at most 2 in
+      size, rounds by at most 1;
     - a Cholesky factorization that runs to completion on H has
       R^H R = H + dH with ||dH||_2 <= gamma_{n+1} trace(H) / (1 - gamma_{n+1})
-      (Higham ch. 10; Rump, "Verification of positive definiteness", BIT
-      46, 2006, whose extra underflow term the range on f makes
-      negligible), counted as n+1.
+      (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+      ch. 10; Rump, "Verification of positive definiteness", BIT 46, 2006,
+      whose extra underflow term the range on f makes negligible), and
+      trace(H) <= 2 sqrt(n); with complex arithmetic's larger constants
+      (Higham sec. 3.6) this is at most 1.5 (n+2)^{3/2}.
 
-    R^H R is positive semidefinite, so lambda_min(G) >= 4(n+2) - 2(n+1) - 1,
-    that is sigma_min(m)^2 >= (2n+5) eps ||m||_F^2.  With sigma_max(m) <=
-    ||m||_F this gives cond_2(m) <= 1/sqrt((2n+5) eps), at most 2.54e7 (at
-    n = 1), a factor 3.9 under COND_LIMIT; the SVD's own error at that
-    conditioning is below 1e-6 relative, so the SVD gate accepts every
-    matrix the certificate accepts."""
+    R^H R is positive semidefinite, so
+    lambda_min(A) >= 2s - 2 - 1.5 (n+2)^{3/2} >= 2 ||m||_F / L.  By
+    Fan-Hoffman, sigma_min(m) >= lambda_min(A/2) >= ||m||_F / L, and with
+    sigma_max(m) <= ||m||_F this gives cond_2(m) <= L, a factor 4 under
+    COND_LIMIT; the SVD's own error at that conditioning is below 1e-6
+    relative, so the SVD gate accepts every matrix the certificate
+    accepts.  A well-conditioned matrix whose Hermitian part is not
+    positive definite (i 1, a rotation, -1) goes to the SVD."""
     m = mat.entries if isinstance(mat, Operator) else np.asarray(mat)
-    if not _cholesky_certified(m):
+    if not _certified(m):
         c = cond(m)
         if c > COND_LIMIT:
             raise NearSingularError(assumption, c, COND_LIMIT)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensorpoly as tp
-from .action import ActionSpec, effective_action, grad_base_action
+from .action import ActionSpec, effective_action
 from .errors import ConvergenceError
 from .linalg import (
     FieldVector,
@@ -226,20 +226,39 @@ def verify_crit_representation(spec: ActionSpec, max_order: int = 4) -> dict:
 def background_residual(spec: ActionSpec, phi_star, phi, psi_star, psi
                         ) -> tuple[FieldVector, FieldVector]:
     """Residual pair of the fine-space stationarity equations."""
-    rg = spec.rg
-    fs, fu = components(phi_star), components(phi)
-    g_star, g_unstar = grad_base_action(spec, phi_star, phi)
-    r_star = rg.qms_fq_qm @ fs + g_unstar.components - rg.qms_fq @ components(psi_star)
-    r_unstar = rg.qms_fq_qm @ fu + g_star.components - rg.qms_fq @ components(psi)
-    return FieldVector(rg.space_minus, r_star), FieldVector(rg.space_minus, r_unstar)
+    sm = spec.rg.space_minus
+    r_star, r_unstar, _ = _background_residual(
+        spec, components(phi_star), components(phi), components(psi_star), components(psi))
+    return FieldVector(sm, r_star), FieldVector(sm, r_unstar)
 
 
-def _background_jacobian(spec: ActionSpec, fs: np.ndarray, fu: np.ndarray) -> np.ndarray:
-    rg = spec.rg
+def _background_residual(spec: ActionSpec, fs, fu, ps, pu):
+    """``background_residual`` on component arrays, plus the contraction
+    chains of the two gradient maps (``tensorpoly._chains``), which the
+    jacobian at the same point reuses."""
+    rg, p = spec.rg, spec.p
     dm = rg.space_minus.dim
+    chains = (tp._chains(p.grad_unstar_coeffs(), fs, fu),
+              tp._chains(p.grad_star_coeffs(), fs, fu))
+    g_unstar = rg.dstar @ fs + tp._chain_value(chains[0], dm)
+    g_star = rg.d.entries @ fu + tp._chain_value(chains[1], dm)
+    r_star = rg.qms_fq_qm @ fs + g_unstar - rg.qms_fq @ ps
+    r_unstar = rg.qms_fq_qm @ fu + g_star - rg.qms_fq @ pu
+    return r_star, r_unstar, chains
+
+
+def _background_jacobian(spec: ActionSpec, fs: np.ndarray, fu: np.ndarray,
+                         chains=None) -> np.ndarray:
+    """The background jacobian at (fs, fu), from the gradient chains that
+    ``_background_residual`` left there when given."""
+    rg, p = spec.rg, spec.p
+    dm = rg.space_minus.dim
+    if chains is None:
+        (ju_s, ju_u), (js_s, js_u) = (tp.jacobians(g, fs, fu, dm, dm) for g in
+                                      (p.grad_unstar_coeffs(), p.grad_star_coeffs()))
+    else:
+        (ju_s, ju_u), (js_s, js_u) = (tp._chain_jacobians(c, fs, dm, dm) for c in chains)
     core = rg.qms_fq_qm
-    ju_s, ju_u = tp.jacobians(spec.p.grad_unstar_coeffs(), fs, fu, dm, dm)
-    js_s, js_u = tp.jacobians(spec.p.grad_star_coeffs(), fs, fu, dm, dm)
     jac = np.empty((2 * dm, 2 * dm), dtype=complex)
     jac[:dm, :dm] = core + rg.dstar + ju_s
     jac[:dm, dm:] = ju_u
@@ -294,11 +313,11 @@ def newton_background(spec: ActionSpec, psi_star, psi, tol: float = 1e-12,
     z0 = np.concatenate([ks.s_star.entries @ rg.qms_fq @ ps, ks.s.entries @ rg.qms_fq @ pu])
 
     def residual(z):
-        r_star, r_unstar = background_residual(spec, z[:dm], z[dm:], ps, pu)
-        return np.concatenate([r_star.components, r_unstar.components]), None
+        r_star, r_unstar, chains = _background_residual(spec, z[:dm], z[dm:], ps, pu)
+        return np.concatenate([r_star, r_unstar]), chains
 
-    def jacobian(z, _):
-        return _background_jacobian(spec, z[:dm], z[dm:])
+    def jacobian(z, chains):
+        return _background_jacobian(spec, z[:dm], z[dm:], chains)
 
     z = _damped_newton(residual, jacobian, z0, tol, max_iter, "background solve")
     return FieldVector(rg.space_minus, z[:dm]), FieldVector(rg.space_minus, z[dm:])

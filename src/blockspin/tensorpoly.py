@@ -19,6 +19,7 @@ package's one tensor contraction, here and in ``poly`` and ``solvers``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
 from math import comb, factorial, prod
@@ -68,26 +69,58 @@ def _dot_axis(a: np.ndarray, b: np.ndarray, axis: int) -> np.ndarray:
     return np.dot(a.reshape(prod(outer), n), b.reshape(n, prod(tail))).reshape(outer + tail)
 
 
-def contract_all(t: np.ndarray, kstar: int, k: int, ustar: np.ndarray, u: np.ndarray,
-                 leading_axes: int = 1):
-    """Plug ustar into every starred slot and u into every unstarred one."""
-    for _ in range(k):
-        t = _dot_axis(t, u, t.ndim - 1)
-    for _ in range(kstar):
-        t = _dot_axis(t, ustar, t.ndim - 1)
-    return t if leading_axes else complex(t)
+def _chain(t: np.ndarray, kstar: int, k: int, ustar: np.ndarray, u: np.ndarray):
+    """Yield t, then t after each contraction in turn: u into the unstarred
+    slots, then ustar into the starred ones, always the last axis.  Entry
+    kstar + k is the value; the jacobians read entries kstar + k - 1 and
+    k - 1."""
+    yield t
+    for v in (u,) * k + (ustar,) * kstar:
+        t = _dot_axis(t, v, t.ndim - 1)
+        yield t
+
+
+def _chains(coeffs: dict, ustar: np.ndarray, u: np.ndarray, drop: int = 0) -> dict:
+    """Each key's ``_chain`` as a list, in sorted key order, without its
+    last ``drop`` entries (which are then never computed)."""
+    return {(a, b): list(itertools.islice(_chain(coeffs[(a, b)], a, b, ustar, u),
+                                          a + b + 1 - drop))
+            for (a, b) in sorted(coeffs)}
+
+
+def _chain_value(chains: dict, out_dim: int, leading_axes: int = 1):
+    """The map's value from its full chains: the sum of their last entries."""
+    if leading_axes:
+        total = np.zeros(out_dim, dtype=complex)
+    else:
+        total = 0.0 + 0.0j
+    for chain in chains.values():
+        total = total + (chain[-1] if leading_axes else complex(chain[-1]))
+    return total
+
+
+def _chain_jacobians(chains: dict, ustar: np.ndarray, out_dim: int, in_dim: int
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """``jacobians`` from chains at the point (full, or without their last
+    entry): d/d_ustar reads entry a + b - 1 of key (a, b), and d/d_u plugs
+    ustar into the starred slots of entry b - 1."""
+    j_star = np.zeros((out_dim, in_dim), dtype=complex)
+    j_u = np.zeros((out_dim, in_dim), dtype=complex)
+    for (a, b), chain in chains.items():
+        if a >= 1:
+            j_star += a * chain[a + b - 1]
+        if b >= 1:
+            m = chain[b - 1]
+            for _ in range(a):
+                m = _dot_axis(m, ustar, 1)
+            j_u += b * m
+    return j_star, j_u
 
 
 def eval_map(coeffs: dict, ustar: np.ndarray, u: np.ndarray, out_dim: int,
              leading_axes: int = 1):
     """Evaluate a coefficient map at a point."""
-    if leading_axes:
-        total = np.zeros(out_dim, dtype=complex)
-    else:
-        total = 0.0 + 0.0j
-    for (a, b) in sorted(coeffs):
-        total = total + contract_all(coeffs[(a, b)], a, b, ustar, u, leading_axes)
-    return total
+    return _chain_value(_chains(coeffs, ustar, u), out_dim, leading_axes)
 
 
 def jacobians(coeffs: dict, ustar: np.ndarray, u: np.ndarray, out_dim: int,
@@ -96,21 +129,7 @@ def jacobians(coeffs: dict, ustar: np.ndarray, u: np.ndarray, out_dim: int,
 
     Returns (d/d_ustar, d/d_u) as (out_dim, in_dim) matrices at the point.
     """
-    j_star = np.zeros((out_dim, in_dim), dtype=complex)
-    j_u = np.zeros((out_dim, in_dim), dtype=complex)
-    for (a, b) in sorted(coeffs):
-        t = coeffs[(a, b)]
-        if a >= 1:
-            # contract all unstarred slots and all but one starred slot
-            j_star += a * contract_all(t, a - 1, b, ustar, u)
-        if b >= 1:
-            m = t
-            for _ in range(b - 1):
-                m = _dot_axis(m, u, m.ndim - 1)
-            for _ in range(a):
-                m = _dot_axis(m, ustar, 1)
-            j_u += b * m
-    return j_star, j_u
+    return _chain_jacobians(_chains(coeffs, ustar, u, drop=1), ustar, out_dim, in_dim)
 
 
 def shift_map(coeffs: dict, base_star: np.ndarray, base: np.ndarray) -> dict:
@@ -169,10 +188,10 @@ def compose(outer: dict, inner_star: dict, inner_unstar: dict, max_order: int) -
     weights instead of ordered tuples, since assignments differing by an
     in-group permutation contribute identically after symmetrization.
     """
-    skeys = [k for k in sorted(inner_star)
-             if k != (0, 0) and np.any(inner_star[k])]
-    ukeys = [k for k in sorted(inner_unstar)
-             if k != (0, 0) and np.any(inner_unstar[k])]
+    skeys = tuple(k for k in sorted(inner_star)
+                  if k != (0, 0) and np.any(inner_star[k]))
+    ukeys = tuple(k for k in sorted(inner_unstar)
+                  if k != (0, 0) and np.any(inner_unstar[k]))
     out: dict = {}
     for (a, b) in sorted(outer):
         t = outer[(a, b)]
@@ -206,9 +225,11 @@ def compose(outer: dict, inner_star: dict, inner_unstar: dict, max_order: int) -
             for key, val in sorted(out.items())}
 
 
-def _degree_capped_multisets(keys: list, slots: int, max_deg: int) -> list:
+@functools.lru_cache(maxsize=None)
+def _degree_capped_multisets(keys: tuple, slots: int, max_deg: int) -> tuple:
     """Multisets of ``slots`` bidegree keys with total degree <= max_deg,
-    each with the count of ordered assignments realizing it."""
+    each with the count of ordered assignments realizing it.  A pure
+    function of its arguments, so each one is enumerated once."""
     result = []
     for combo in itertools.combinations_with_replacement(keys, slots):
         deg = sum(p + q for p, q in combo)
@@ -218,4 +239,4 @@ def _degree_capped_multisets(keys: list, slots: int, max_deg: int) -> list:
         for mult in Counter(combo).values():
             weight //= factorial(mult)
         result.append((combo, deg, weight))
-    return result
+    return tuple(result)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blockspin import linalg
@@ -200,7 +200,7 @@ def test_form_asymmetry_detects():
 
 
 # ---------------------------------------------------------------------------
-# the Cholesky certificate in front of the SVD gate
+# the Hermitian-part certificate in front of the SVD gate
 
 def svd_only_gate(mat, assumption):
     """The gate as it was before the certificate: the SVD decides alone."""
@@ -227,53 +227,107 @@ def unitary(rng, n, complex_entries):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def plane_rotation(n, angle):
+    r = np.eye(n)
+    for i in range(0, n - 1, 2):
+        r[i:i + 2, i:i + 2] = [[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]]
+    return r
+
+
+# cond-1 matrices whose Hermitian part is zero, indefinite or negative definite
+# (for n >= 2)
+NOT_POSITIVE_HERMITIAN_PART = {
+    "i1": lambda n: 1j * np.eye(n),
+    "rotation-3pi/4": lambda n: plane_rotation(n, 0.75 * np.pi),
+    "rotation-pi/2": lambda n: plane_rotation(n, 0.5 * np.pi),
+    "cyclic-shift": lambda n: np.roll(np.eye(n), 1, axis=0),
+    "minus-1": lambda n: -np.eye(n),
+}
 NON_FINITE = {"nan": np.nan, "+inf": np.inf, "-inf": -np.inf}
-KINDS = ["cond", "cond", "cond", "rank-deficient", "singular", "zero", *NON_FINITE]
-SCALES = [1.0, 1.0, 1e-200, 1e200, 1e-130, 1e-155, 1e-160, 1e120]
+KINDS = ["cond", "cond", "cond", "hermitian", "hermitian", "negative-definite",
+         "rank-deficient", "singular", "zero", *NON_FINITE, *NOT_POSITIVE_HERMITIAN_PART]
+SCALES = [1.0, 1.0, 1e-200, 1e200, 1e-130, 1e-155, 1e-160, 1e-170, 1e120]
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=400, deadline=None, derandomize=True)
+# positive definite beyond the limit, where f is in range and where it underflows
+@example(n=8, log_cond=10.0, kind="hermitian", scale=1.0, complex_entries=True,
+         as_operator=False, seed=1)
+@example(n=8, log_cond=10.0, kind="hermitian", scale=1e-170, complex_entries=False,
+         as_operator=False, seed=2)
 @given(n=st.one_of(st.integers(1, 4), st.integers(1, 64)), log_cond=st.floats(0.0, 12.0), kind=st.sampled_from(KINDS),
        scale=st.sampled_from(SCALES), complex_entries=st.booleans(),
        as_operator=st.booleans(), seed=st.integers(0, 2**32 - 1))
 def test_certified_gate_decides_like_the_svd_gate(n, log_cond, kind, scale, complex_entries,
                                                   as_operator, seed):
     """Accept or reject, the exception's type and assumption, and its cond
-    are those of the SVD-only gate, from cond 1 to 1e12, on rank-deficient,
-    exactly singular, zero and non-finite matrices and at extreme scales
-    (near 1e-155 the Gram matrix is subnormal)."""
+    are those of the SVD-only gate, from cond 1 to 1e12, on general,
+    Hermitian positive and negative definite, rank-deficient, exactly
+    singular, zero and non-finite matrices, on cond-1 matrices whose
+    Hermitian part is not positive definite, and at extreme scales (near
+    1e-162 and below ||m||_F^2 underflows)."""
     rng = rng_for(seed)
     sigma = np.logspace(0.0, -log_cond, n)
     if kind == "rank-deficient":
         sigma[-1] = 0.0
-    m = (unitary(rng, n, complex_entries) * sigma) @ unitary(rng, n, complex_entries).conj().T
-    if kind == "singular":  # a repeated column, or a zero one at n = 1
+    left = unitary(rng, n, complex_entries)
+    right = left if kind in ("hermitian", "negative-definite") else unitary(rng, n, complex_entries)
+    m = (left * sigma) @ right.conj().T
+    if kind == "negative-definite":
+        m = -m
+    elif kind == "singular":  # a repeated column, or a zero one at n = 1
         m[:, -1] = m[:, 0] if n > 1 else 0.0
     elif kind == "zero":
         m = np.zeros_like(m)
     elif kind in NON_FINITE:
         m[rng.integers(n), rng.integers(n)] = NON_FINITE[kind]
+    elif kind in NOT_POSITIVE_HERMITIAN_PART:  # in the basis of ``left``
+        m = left @ NOT_POSITIVE_HERMITIAN_PART[kind](n) @ left.conj().T
     with np.errstate(all="ignore"):
         m = m * scale
     mat = Operator(SpaceSpec(n), SpaceSpec(n), m) if as_operator else m
     assert gate_outcome(linalg.gate, mat) == gate_outcome(svd_only_gate, mat)
 
 
-def test_certificate_declines_where_the_gram_underflows():
-    """Near 1e-155 fl(m^H m) is subnormal and its rounding is no longer
-    relative.  Without its lower bound on Re trace(m^H m) the certificate
-    accepted about a third of these rank-deficient matrices."""
+def test_certificate_declines_where_f_underflows():
+    """Below about 1e-162, ||m||_F^2 underflows and the diagonal shift with
+    it.  Without its lower bound on f the certificate accepted every one of
+    these positive definite matrices of condition number 1e12."""
     rng = rng_for(7)
     for n in range(2, 9):
-        for scale in (1e-155, 1e-160):
+        for scale in (1e-170, 1e-200):
             for complex_entries in (False, True):
                 for _ in range(5):
-                    sigma = np.logspace(0.0, -6.0, n)
-                    sigma[-1] = 0.0
-                    m = (unitary(rng, n, complex_entries) * sigma
-                         @ unitary(rng, n, complex_entries).conj().T) * scale
+                    q = unitary(rng, n, complex_entries)
+                    m = (q * np.logspace(0.0, -12.0, n)) @ q.conj().T * scale
                     with pytest.raises(NearSingularError):
-                        linalg.gate(m, "subnormal gram")
+                        linalg.gate(m, "underflowing f")
+
+
+def test_certificate_threshold_is_the_bound_plus_the_rounding_margin():
+    """diag(1, x) is certified exactly when x clears ||m||_F / L by the
+    rounding margin 2 (n+2)^{3/2} eps ||m||_F, here about 3.6e-15."""
+    bound = 1 / linalg._CERT_LIMIT
+    assert bound == 4e-8
+    for x, certified in ((bound * (1 - 1e-9), False), (bound + 1e-15, False),
+                         (bound + 3e-15, False), (bound + 1e-14, True), (1.0, True)):
+        assert linalg._certified(np.diag([1.0, x])) is certified, x
+        assert linalg._certified(np.diag([1.0, x]) + 0j) is certified, x
+
+
+def test_certificate_reads_the_whole_matrix():
+    """Singular matrices whose one triangle and diagonal alone look positive
+    definite are declined, and the SVD rejects them."""
+    m = np.array([[1.0, 4.0], [0.25, 1.0]])
+    for mat in (m, m.T, 1j * m):
+        with pytest.raises(NearSingularError) as err:
+            linalg.gate(mat, "one triangle")
+        assert err.value.cond > linalg.COND_LIMIT
+
+
+def test_certificate_declines_a_non_square_matrix():
+    assert linalg._certified(np.ones((2, 3))) is False
+    assert linalg._certified(np.eye(3)) is True
 
 
 def counting_cond(monkeypatch):
@@ -323,6 +377,19 @@ def test_gate_sends_what_the_certificate_declines_to_one_svd(monkeypatch):
         linalg.gate(m, "beyond")
     assert len(conds) == 2 and err.value.cond == conds[1] == cond(m)
     assert err.value.assumption == "beyond"
+
+
+@pytest.mark.parametrize("kind", sorted(NOT_POSITIVE_HERMITIAN_PART))
+def test_gate_accepts_cond_1_with_no_positive_hermitian_part_after_one_svd(kind, monkeypatch):
+    """The certificate declines i 1, rotations, a cyclic shift and -1, whose
+    Hermitian parts are zero, indefinite or negative definite; one SVD then
+    accepts each."""
+    for n in (2, 5, 64):
+        m = NOT_POSITIVE_HERMITIAN_PART[kind](n)
+        assert linalg._certified(m) is False
+        conds = counting_cond(monkeypatch)
+        assert linalg.gate(m, kind) is m
+        assert conds == [pytest.approx(1.0)]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

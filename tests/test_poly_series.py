@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -278,3 +279,104 @@ def test_dot_axis_has_the_bits_of_tensordot_on_views_and_thin_shapes():
         assert not a.flags.c_contiguous or 1 in a.shape
         assert same_bytes(tp._dot_axis(a, b, axis),
                           np.tensordot(a, b, axes=([axis], [0])))
+
+
+# ---------------------------------------------------------------------------
+# the contraction chains behind eval_map, jacobians and the background Newton
+
+def contract_all_reference(t, kstar, k, ustar, u):
+    """Every slot contracted one at a time, u first, always the last axis."""
+    for _ in range(k):
+        t = tp._dot_axis(t, u, t.ndim - 1)
+    for _ in range(kstar):
+        t = tp._dot_axis(t, ustar, t.ndim - 1)
+    return t
+
+
+def eval_map_reference(coeffs, ustar, u, out_dim):
+    total = np.zeros(out_dim, dtype=complex)
+    for (a, b) in sorted(coeffs):
+        total = total + contract_all_reference(coeffs[(a, b)], a, b, ustar, u)
+    return total
+
+
+def jacobians_reference(coeffs, ustar, u, out_dim, in_dim):
+    """Each derivative contracted from the coefficient tensor afresh."""
+    j_star = np.zeros((out_dim, in_dim), dtype=complex)
+    j_u = np.zeros((out_dim, in_dim), dtype=complex)
+    for (a, b) in sorted(coeffs):
+        t = coeffs[(a, b)]
+        if a >= 1:
+            j_star += a * contract_all_reference(t, a - 1, b, ustar, u)
+        if b >= 1:
+            m = contract_all_reference(t, 0, b - 1, ustar, u)
+            for _ in range(a):
+                m = tp._dot_axis(m, ustar, 1)
+            j_u += b * m
+    return j_star, j_u
+
+
+BIDEGREES = [(a, n - a) for n in range(1, 5) for a in range(n + 1)]
+
+
+@pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("keys", [[key] for key in BIDEGREES]
+                         + [[(0, 1), (1, 1), (0, 3)], [(1, 0), (2, 0), (2, 2), (0, 4)],
+                            BIDEGREES],
+                         ids=lambda keys: "+".join(f"{a}{b}" for a, b in keys))
+def test_chains_give_the_bits_of_slot_by_slot_contraction(keys, complex_entries):
+    """Values and jacobians read off the chains equal those contracted from
+    the tensors afresh, byte for byte: with only starred slots, only
+    unstarred ones and both, up to total degree 4."""
+    rng = rng_for(300 + len(keys) + 17 * sum(a * 5 + b for a, b in keys))
+    out_dim, in_dim = 3, 4
+    coeffs = {(a, b): tp.symmetrize(draw(rng, (out_dim,) + (in_dim,) * (a + b),
+                                         complex_entries), a, b)
+              for (a, b) in keys}
+    ustar, u = draw(rng, in_dim, complex_entries), draw(rng, in_dim, complex_entries)
+    value = eval_map_reference(coeffs, ustar, u, out_dim)
+    j_star, j_u = jacobians_reference(coeffs, ustar, u, out_dim, in_dim)
+    full = tp._chains(coeffs, ustar, u)
+    assert same_bytes(tp.eval_map(coeffs, ustar, u, out_dim), value)
+    assert same_bytes(tp._chain_value(full, out_dim), value)
+    for got in (tp.jacobians(coeffs, ustar, u, out_dim, in_dim),
+                tp._chain_jacobians(full, ustar, out_dim, in_dim),
+                tp._chain_jacobians(tp._chains(coeffs, ustar, u, drop=1), ustar,
+                                    out_dim, in_dim)):
+        assert same_bytes(got[0], j_star) and same_bytes(got[1], j_u)
+
+
+def test_scalar_eval_map_sums_the_chain_ends():
+    rng = rng_for(31)
+    coeffs = {(1, 1): tp.symmetrize(draw(rng, (3, 3), True), 1, 1, leading_axes=0),
+              (0, 3): tp.symmetrize(draw(rng, (3, 3, 3), True), 0, 3, leading_axes=0)}
+    ustar, u = draw(rng, 3, True), draw(rng, 3, True)
+    want = 0.0 + 0.0j
+    for (a, b) in sorted(coeffs):
+        want = want + complex(contract_all_reference(coeffs[(a, b)], a, b, ustar, u))
+    got = tp.eval_map(coeffs, ustar, u, 3, leading_axes=0)
+    assert type(got) is complex and got == want
+
+
+def multisets_reference(keys, slots, max_deg):
+    """Every multiset of ``slots`` keys, filtered by degree, with its count
+    of ordered assignments."""
+    out = []
+    for combo in itertools.combinations_with_replacement(keys, slots):
+        deg = sum(p + q for p, q in combo)
+        if deg <= max_deg:
+            ordered = len(set(itertools.permutations(combo)))
+            out.append((combo, deg, ordered))
+    return out
+
+
+def test_memoized_multisets_equal_the_direct_enumeration():
+    rng = rng_for(41)
+    pool = [(a, b) for a in range(4) for b in range(4) if 0 < a + b <= 4]
+    for _ in range(60):
+        size = int(rng.integers(1, 7))
+        keys = tuple(sorted(pool[i] for i in rng.choice(len(pool), size, replace=False)))
+        slots, cap = int(rng.integers(0, 5)), int(rng.integers(0, 10))
+        first = tp._degree_capped_multisets(keys, slots, cap)
+        assert list(first) == multisets_reference(keys, slots, cap)
+        assert tp._degree_capped_multisets(keys, slots, cap) is first  # memoized

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from blockspin import solvers
+from blockspin import tensorpoly as tp
 from blockspin.errors import ConvergenceError, NearSingularError
+from blockspin.linalg import FieldVector, components
 from blockspin.poly import PolynomialP, p_gradients
 from blockspin.reference import scalar_reference_data, scalar_reference_spec
 from blockspin.action import make_action_spec
@@ -739,3 +741,147 @@ def test_delta_a_callable_increment():
         spec, theta_star, theta, dpsi_star, dpsi,
         increment_plus=exact_increment, nodes=24)
     assert abs(direct - formula) <= 1e-11
+
+
+# ---------------------------------------------------------------------------
+# the background Newton reuses its residual's contraction chains
+
+def solve_lattice_spec():
+    """The 32/8/2 lattice step of the solve-lattice benchmark workload."""
+    from blockspin.harness import ScenarioConfig, scenario_spec
+
+    return scenario_spec(ScenarioConfig.from_dict({
+        "seed": 1, "suites": [], "lattice": {"extents": [8, 4], "block": [2, 2]},
+        "interaction": {"bidegrees": [[1, 2], [0, 3]], "scale": 0.2}}))
+
+
+def reference_jacobian(spec, fs, fu, chains=None):
+    """The background jacobian from ``tp.jacobians`` at the point."""
+    rg = spec.rg
+    dm = rg.space_minus.dim
+    ju_s, ju_u = tp.jacobians(spec.p.grad_unstar_coeffs(), fs, fu, dm, dm)
+    js_s, js_u = tp.jacobians(spec.p.grad_star_coeffs(), fs, fu, dm, dm)
+    core = rg.qms_fq_qm
+    return np.block([[core + rg.dstar + ju_s, ju_u], [js_s, core + rg.d.entries + js_u]])
+
+
+def reference_background(spec, psi_star, psi, tol=1e-12, max_iter=50):
+    """``newton_background`` with each residual from the public
+    ``background_residual`` and each jacobian from ``tp.jacobians``."""
+    rg, ks = spec.rg, spec.kernels
+    dm = rg.space_minus.dim
+    ps, pu = components(psi_star), components(psi)
+    z0 = np.concatenate([ks.s_star.entries @ rg.qms_fq @ ps, ks.s.entries @ rg.qms_fq @ pu])
+
+    def residual(z):
+        r_star, r_unstar = solvers.background_residual(spec, z[:dm], z[dm:], ps, pu)
+        return np.concatenate([r_star.components, r_unstar.components]), None
+
+    def jacobian(z, _):
+        return reference_jacobian(spec, z[:dm], z[dm:])
+
+    z = solvers._damped_newton(residual, jacobian, z0, tol, max_iter, "background solve")
+    return FieldVector(rg.space_minus, z[:dm]), FieldVector(rg.space_minus, z[dm:])
+
+
+def field_bytes(*values) -> bytes:
+    return b"".join(v.components.tobytes() if isinstance(v, FieldVector)
+                    else repr(complex(v)).encode() for v in values)
+
+
+def chain_spec(index: int):
+    """The solve-lattice step, then three random (3,2,1) steps."""
+    if index == 0:
+        return solve_lattice_spec()
+    return general_spec(rng_for(149 + index), (3, 2, 1), max_cond=1e4)
+
+
+@pytest.mark.parametrize("spec_index", range(4))
+def test_newton_solvers_give_the_bits_of_fresh_contractions(spec_index, monkeypatch):
+    """newton_background, newton_critical and delta_a_direct equal, byte for
+    byte, the same solvers with every jacobian contracted afresh by
+    ``tp.jacobians`` and every residual taken by ``background_residual``."""
+    spec = chain_spec(spec_index)
+    rng = rng_for(160 + spec_index)
+    sp, smid = spec.rg.space_plus, spec.rg.space_mid
+
+    def field(space, scale):
+        return scale * (rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim))
+
+    points = [(field(smid, 0.3), field(smid, 0.3), field(sp, 0.2), field(sp, 0.2),
+               field(smid, 0.04), field(smid, 0.04)) for _ in range(2)]
+
+    def solve_all():
+        out = []
+        for ps, pu, ts, tu, ds, du in points:
+            out.append(field_bytes(*solvers.newton_background(spec, ps, pu, tol=1e-13),
+                                   *solvers.newton_critical(spec, ts, tu),
+                                   solvers.delta_a_direct(spec, ts, tu, ds, du)))
+        return out
+
+    got = solve_all()
+    monkeypatch.setattr(solvers, "newton_background", reference_background)
+    monkeypatch.setattr(solvers, "_background_jacobian", reference_jacobian)
+    assert got == solve_all()
+
+
+def test_background_residual_gives_the_bits_of_the_base_action_gradients():
+    from blockspin.action import grad_base_action
+
+    for spec in map(chain_spec, range(4)):
+        rg = spec.rg
+        rng = rng_for(170 + rg.space_minus.dim)
+        fs, fu = (0.3 * (rng.standard_normal(rg.space_minus.dim)
+                         + 1j * rng.standard_normal(rg.space_minus.dim)) for _ in range(2))
+        ps, pu = (0.3 * (rng.standard_normal(rg.space_mid.dim)
+                         + 1j * rng.standard_normal(rg.space_mid.dim)) for _ in range(2))
+        g_star, g_unstar = grad_base_action(spec, fs, fu)
+        want_star = rg.qms_fq_qm @ fs + g_unstar.components - rg.qms_fq @ ps
+        want = rg.qms_fq_qm @ fu + g_star.components - rg.qms_fq @ pu
+        r_star, r = solvers.background_residual(spec, fs, fu, ps, pu)
+        assert r_star.components.tobytes() == want_star.tobytes()
+        assert r.components.tobytes() == want.tobytes()
+
+
+def test_background_newton_contracts_each_gradient_tensor_once_per_residual(monkeypatch):
+    """On the solve-lattice step every (out, in, in) gradient tensor meets u
+    once per residual evaluation and never again in the jacobian at that
+    point; the jacobian only plugs ustar into the mixed (1, 1) tensor."""
+    spec = solve_lattice_spec()
+    dm = spec.rg.space_minus.dim
+    maps = (spec.p.grad_unstar_coeffs(), spec.p.grad_star_coeffs())
+    keys = sum(len(m) for m in maps)
+    mixed = sum(a >= 1 and b >= 1 for m in maps for (a, b) in m)
+    assert all(t.shape == (dm,) * 3 for m in maps for t in m.values())
+    big_axes = []
+    real_dot = tp._dot_axis
+
+    def counted_dot(a, b, axis):
+        if a.shape == (dm,) * 3:
+            big_axes.append(axis)
+        return real_dot(a, b, axis)
+
+    calls = {"residual": 0, "jacobian": 0}
+    real_newton = solvers._damped_newton
+
+    def counted_newton(residual, jacobian, *args):
+        def counted_residual(z):
+            calls["residual"] += 1
+            return residual(z)
+
+        def counted_jacobian(z, state):
+            calls["jacobian"] += 1
+            return jacobian(z, state)
+
+        return real_newton(counted_residual, counted_jacobian, *args)
+
+    monkeypatch.setattr(tp, "_dot_axis", counted_dot)
+    monkeypatch.setattr(solvers, "_damped_newton", counted_newton)
+    rng = rng_for(180)
+    psi_star, psi = (0.3 * (rng.standard_normal(spec.rg.space_mid.dim)
+                            + 1j * rng.standard_normal(spec.rg.space_mid.dim))
+                     for _ in range(2))
+    solvers.newton_background(spec, psi_star, psi)
+    assert calls["jacobian"] >= 2
+    assert big_axes.count(2) == keys * calls["residual"]
+    assert len(big_axes) == keys * calls["residual"] + mixed * calls["jacobian"]
